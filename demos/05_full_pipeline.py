@@ -23,7 +23,7 @@ stages = [
      "--events", str(sim / "events.csv"), "--instants", str(sim / "instants.txt"),
      "--out", str(built)],
     ["track", "--vocabulary", str(sim / "vocabulary.txt"),
-     "--profiles", str(built / "built_profiles.csv"), "--decoupled", "--out", str(tracked)],
+     "--profiles", str(built / "built_profiles.csv"), "--out", str(tracked)],
     ["recommend", "--vocabulary", str(sim / "vocabulary.txt"),
      "--final-states", str(tracked / "final_states.csv"),
      "--profiles", str(built / "built_profiles.csv"),

@@ -82,6 +82,7 @@ from .tracking import (
     steady_state_covariance,
     track_series,
     track_series_decoupled,
+    track_users,
     write_final_states,
     write_track_record,
 )
@@ -121,6 +122,7 @@ __all__ = [
     "steady_state_covariance",
     "track_series",
     "track_series_decoupled",
+    "track_users",
     "read_track_record",
     "write_track_record",
     "read_final_states",

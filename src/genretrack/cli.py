@@ -16,6 +16,7 @@ failure.  Diagnostics are one line on stderr.
 from __future__ import annotations
 
 import argparse
+import csv
 import datetime
 import math
 import re
@@ -33,8 +34,7 @@ from .tracking import (
     build_model,
     read_final_states,
     read_track_record,
-    track_series,
-    track_series_decoupled,
+    track_users,
     write_final_states,
     write_track_record,
 )
@@ -75,7 +75,6 @@ _PARAMS: dict[str, dict[str, tuple]] = {
         "instants": (str, None),
         "decay": (float, 1.0),
         "normalize": (_bool_from_text, False),
-        "seed": (int, 0),
         "out": (str, None),
     },
     "track": {
@@ -87,8 +86,6 @@ _PARAMS: dict[str, dict[str, tuple]] = {
         "r": (float, 1e-2),
         "p0": (float, 10.0),
         "q_structure": (str, "white_accel"),
-        "decoupled": (_bool_from_text, False),
-        "seed": (int, 0),
         "out": (str, None),
     },
     "recommend": {
@@ -98,7 +95,6 @@ _PARAMS: dict[str, dict[str, tuple]] = {
         "events": (str, None),
         "theta": (float, 0.05),
         "date": (str, ""),
-        "seed": (int, 0),
         "out": (str, None),
     },
     "evaluate": {
@@ -106,7 +102,6 @@ _PARAMS: dict[str, dict[str, tuple]] = {
         "profiles": (str, None),
         "tracks": (str, None),
         "tau": (float, 0.15),
-        "seed": (int, 0),
         "out": (str, None),
     },
 }
@@ -119,7 +114,7 @@ _FLAG_HELP = {
     "q_true": "generative process-noise scale",
     "r_true": "generative measurement-noise variance",
     "programs_per_day": "baseline watch events per user per day",
-    "seed": "random seed (data generation only)",
+    "seed": "random seed",
     "out": "output directory (created if absent)",
     "vocabulary": "genre vocabulary file, one label per line",
     "events": "watch-event log CSV",
@@ -133,7 +128,6 @@ _FLAG_HELP = {
     "r": "filter measurement-noise variance",
     "p0": "initial covariance scale",
     "q_structure": "process-noise structure: white_accel or identity",
-    "decoupled": "run d independent per-axis filters instead of the dense filter",
     "final_states": "final-state CSV written by track",
     "theta": "promotion/demotion threshold on interest deltas",
     "date": "recommendation day: integer day index or ISO date (default: last event day)",
@@ -359,13 +353,8 @@ def cmd_track(effective: dict) -> Writer:
         r=effective["r"],
         q_structure=effective["q_structure"],
     )
-    runner = track_series_decoupled if effective["decoupled"] else track_series
-    records = []
-    final_states = {}
-    for user_id in sorted(series_by_user):
-        record = runner(model, series_by_user[user_id], p0=effective["p0"])
-        records.append(record)
-        final_states[user_id] = record.final_state
+    series = [series_by_user[user_id] for user_id in sorted(series_by_user)]
+    records = track_users(model, series, p0=effective["p0"])
 
     # Per-user file names, deduplicated if sanitizing ever collides two ids.
     names_taken: set[str] = set()
@@ -383,11 +372,13 @@ def cmd_track(effective: dict) -> Writer:
     def write(outdir: Path) -> None:
         tracks_dir = outdir / "tracks"
         tracks_dir.mkdir(exist_ok=True)
-        index_lines = ["user_id,file"]
-        for record, name in files:
-            write_track_record(record, space, tracks_dir / name)
-            index_lines.append(f"{record.user_id},{name}")
-        (tracks_dir / "index.csv").write_text("\n".join(index_lines) + "\n", encoding="utf-8")
+        with open(tracks_dir / "index.csv", "w", newline="", encoding="utf-8") as fh:
+            index = csv.writer(fh, lineterminator="\n")
+            index.writerow(["user_id", "file"])
+            for record, name in files:
+                write_track_record(record, space, tracks_dir / name)
+                index.writerow([record.user_id, name])
+        final_states = {record.user_id: record.final_state for record in records}
         write_final_states(final_states, space, outdir / "final_states.csv")
 
     return write
@@ -438,16 +429,14 @@ def cmd_evaluate(effective: dict) -> Writer:
     if not index_path.is_file():
         raise CliError(f"no track index at {index_path}")
     records = []
-    lines = index_path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "user_id,file":
-        raise CliError(f"{index_path}: malformed track index")
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        user_id, _, name = line.partition(",")
-        if not name:
-            raise CliError(f"{index_path}:{lineno}: expected user_id,file")
-        records.append(read_track_record(tracks_dir / name, space, user_id))
+    with open(index_path, newline="", encoding="utf-8") as fh:
+        index = csv.reader(fh)
+        if next(index, None) != ["user_id", "file"]:
+            raise CliError(f"{index_path}: malformed track index")
+        for row in filter(None, index):  # skip blank lines
+            if len(row) != 2 or not row[1]:
+                raise CliError(f"{index_path}:{index.line_num}: expected user_id,file")
+            records.append(read_track_record(tracks_dir / row[1], space, row[0]))
     if not records:
         raise CliError(f"track index {index_path} lists no users")
     try:
@@ -484,7 +473,8 @@ def main(argv: list[str] | None = None) -> int:
         write_outputs(outdir)
         _write_manifest(outdir, command, effective, sources)
     except (CliError, ValueError, KeyError, FileNotFoundError) as exc:
-        message = exc.args[0] if exc.args else exc
+        # str() of a KeyError is the repr of its message; an OSError's names the path.
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"genretrack {command}: error: {message}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive catch-all

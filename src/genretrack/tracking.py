@@ -21,8 +21,10 @@ prediction x_hat = X(k | k-1) and covariance P = P(k | k-1),
     X(k+1 | k) = A x_hat + K nu
     P(k+1 | k) = A P A' - K (A P H')' + Q    (symmetrized)
 
-All linear solves go through a Cholesky factorization of S; no explicit
-matrix inverse is formed anywhere.
+The dense filter (:func:`track_series`) solves against a Cholesky factor of
+S; it serves models whose noise couples axes and is the reference for the
+batched engine (:func:`track_users`), where S is diagonal and the solve a
+division.  No explicit matrix inverse is formed anywhere.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ import functools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .ioutil import fmt
 from .profiles import ProfileSeries
@@ -56,6 +58,7 @@ __all__ = [
     "steady_state_covariance",
     "track_series",
     "track_series_decoupled",
+    "track_users",
     "read_track_record",
     "write_track_record",
     "read_final_states",
@@ -189,10 +192,11 @@ class TrackingModel:
             raise ValueError("Q must be symmetric")
         if not np.allclose(R, R.T, atol=1e-12):
             raise ValueError("R must be symmetric")
-        if np.linalg.eigvalsh(Q).min() < -1e-12:
-            raise ValueError("Q must be positive semidefinite")
-        if np.linalg.eigvalsh(R).min() <= 0.0:
-            raise ValueError("R must be positive definite")
+        with _single_blas_thread():
+            if np.linalg.eigvalsh(Q).min() < -1e-12:
+                raise ValueError("Q must be positive semidefinite")
+            if np.linalg.eigvalsh(R).min() <= 0.0:
+                raise ValueError("R must be positive definite")
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "R", R)
         eye = np.eye(self.d)
@@ -295,24 +299,26 @@ def init_filter(model: TrackingModel, z0: np.ndarray, p0: float = DEFAULT_P0) ->
     return FilterState(x_hat=x0, P=p0 * np.eye(3 * model.d), k=0)
 
 
-def _factor_innovation(S: np.ndarray):
-    """Condition-check S and return its Cholesky factorization."""
-    w = np.linalg.eigvalsh(S)
-    if w[0] <= 0.0 or w[-1] > COND_LIMIT * w[0]:
+def _check_conditioning(eigenvalues: np.ndarray) -> None:
+    """Reject an innovation covariance with these eigenvalues as ill-conditioned."""
+    lowest, highest = np.min(eigenvalues), np.max(eigenvalues)
+    if lowest <= 0.0 or highest > COND_LIMIT * lowest:
         raise SingularInnovationError(
-            f"innovation covariance ill-conditioned: eigenvalue range "
-            f"[{w[0]:.3e}, {w[-1]:.3e}]"
+            f"innovation covariance ill-conditioned: eigenvalue range [{lowest:.3e}, {highest:.3e}]"
         )
-    return scipy.linalg.cho_factor(S, lower=True)
 
 
 def _gain_and_cross(model: TrackingModel, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Return (K, A P H') for prediction covariance P."""
+    # Loaded here, not at module load: only the dense filter needs it.
+    import scipy.linalg
+
     AP = model.A @ P
     APHt = AP @ model.H.T
     S = model.H @ (P @ model.H.T) + model.R
     S = 0.5 * (S + S.T)
-    factor = _factor_innovation(S)
+    _check_conditioning(np.linalg.eigvalsh(S))
+    factor = scipy.linalg.cho_factor(S, lower=True)
     K = scipy.linalg.cho_solve(factor, APHt.T).T
     return K, APHt
 
@@ -485,127 +491,130 @@ def track_series(
 
 def _per_axis_blocks(model: TrackingModel) -> tuple[np.ndarray, np.ndarray]:
     """Split Q and R into per-axis pieces, or fail if they couple axes."""
-    d = model.d
-    R = model.R
-    if np.any(R != np.diag(np.diag(R))):
+    d, idx = model.d, np.arange(model.d)
+    if np.any(model.R != np.diag(np.diag(model.R))):
         raise ValueError("R couples genre axes; decoupled tracking needs a diagonal R")
-    Q = model.Q
-    idx = np.arange(d)
-    Qb = np.empty((d, 3, 3))
-    for a in range(3):
-        for b in range(3):
-            block = Q[a * d : (a + 1) * d, b * d : (b + 1) * d]
-            if np.any(block != np.diag(np.diag(block))):
-                raise ValueError(
-                    "Q couples genre axes; decoupled tracking needs per-axis blocks"
-                )
-            Qb[:, a, b] = block[idx, idx]
-    return Qb, np.diag(R).copy()
+    Q = model.Q.reshape(3, d, 3, d).copy()  # Q[a, i, b, j] is entry (a*d + i, b*d + j)
+    Qb = Q[:, idx, :, idx]  # (d, 3, 3): each axis's own 3x3 block
+    Q[:, idx, :, idx] = 0.0
+    if np.any(Q != 0.0):
+        raise ValueError("Q couples genre axes; decoupled tracking needs per-axis blocks")
+    return Qb, np.diag(model.R).copy()
 
 
 @_single_blas_thread()
-def track_series_decoupled(
-    model: TrackingModel,
-    observations: ProfileSeries,
-    p0: float = DEFAULT_P0,
-) -> TrackRecord:
-    """Run d independent 3-state scalar-observation filters, one per genre axis.
+def track_users(
+    model: TrackingModel, series_list: Sequence[ProfileSeries], p0: float = DEFAULT_P0
+) -> list[TrackRecord]:
+    """Track every series at once, one filter per genre axis; records in input order.
 
-    Numerically equivalent to :func:`track_series` whenever Q and R carry no
-    cross-axis coupling (true of every :func:`build_model` output), at a small
-    fraction of the floating-point cost: the dense path multiplies 3d x 3d
-    matrices per step, this one works on a (d, 3, 3) stack.  Like
-    :func:`track_series`, it holds the bundled OpenBLAS libraries to one
-    thread while it runs and restores their previous counts afterwards.
+    Without cross-axis noise (every :func:`build_model` output) the gain and
+    covariance recursion is d 3x3 recursions that never see the data: P_k and
+    K_k are computed once, a (d, 3, 3) stack per step, with one conditioning
+    and one PSD check, and all users advance together, one (N, d, 3) update
+    per step; a shorter series uses a prefix.  Records match
+    :func:`track_series` to rounding; equal lengths share read-only steps,
+    gain norms, traces and final P and gain.  Raises ``ValueError`` when Q or
+    R couples axes.  Holds OpenBLAS to one thread, as :func:`track_series` does.
     """
-    Z = observations.profiles
-    if observations.d != model.d:
-        raise ValueError(
-            f"series dimension {observations.d} does not match model d={model.d}"
-        )
-    n_obs = observations.n_instants
-    if n_obs < 2:
-        raise ValueError(f"tracking needs at least 2 observations, got {n_obs}")
     if not p0 > 0:
         raise ValueError(f"initial covariance scale p0 must be > 0, got {p0}")
-    if not np.all(np.isfinite(Z)):
-        raise ValueError("observations contain non-finite values")
-
-    d = model.d
     Qb, r_diag = _per_axis_blocks(model)
+    d = model.d
+    for series in series_list:
+        uid, n_obs = series.user_id, series.n_instants
+        if series.d != d:
+            raise ValueError(f"user {uid!r}: series dimension {series.d} does not match model d={d}")
+        if n_obs < 2:
+            raise ValueError(f"user {uid!r}: tracking needs at least 2 observations, got {n_obs}")
+        if not np.all(np.isfinite(series.profiles)):
+            raise ValueError(f"user {uid!r}: observations contain non-finite values")
+    if not series_list:
+        return []
+
+    # Longest series first, so the users still running at step k are rows [:active[k]].
+    lengths = np.array([series.n_instants for series in series_list])
+    order = np.argsort(-lengths, kind="stable")
+    n_users, n_max = len(order), int(lengths[order[0]])
+    active = (lengths[:, None] > np.arange(n_max)).sum(axis=0)
+    Z = np.zeros((n_users, n_max, d))
+    for row, i in enumerate(order):
+        Z[row, : lengths[i]] = series_list[i].profiles
+
     A3 = _transition_block(model.T, model.alpha)
-
-    # Per-axis state rows (position, velocity, acceleration) and 3x3 covariances.
-    X = np.zeros((d, 3))
-    X[:, 0] = Z[0]
+    # Per user and axis, the state row (position, velocity, acceleration).
+    X = np.zeros((n_users, d, 3))
+    X[:, :, 0] = Z[:, 0]
     P = np.broadcast_to(p0 * np.eye(3), (d, 3, 3)).copy()
-
-    steps: list[int] = []
-    predicted: list[np.ndarray] = []
-    innovations: list[np.ndarray] = []
-    gain_norms: list[float] = []
-    p_traces: list[float] = []
-    nu = np.zeros(d)
-    K = np.zeros((d, 3))
-    for k in range(n_obs):
-        prev_X, prev_P = X, P
-        S = prev_P[:, 0, 0] + r_diag
-        if np.any(S <= 0.0) or S.max() > COND_LIMIT * S.min():
-            raise SingularInnovationError(
-                f"innovation covariance ill-conditioned: eigenvalue range "
-                f"[{S.min():.3e}, {S.max():.3e}]"
-            )
-        AP = A3 @ prev_P                       # (d, 3, 3)
+    covariances, gains = [P], []
+    predicted = np.empty((n_users, n_max - 1, d))
+    innovations = np.empty_like(predicted)
+    for k in range(n_max):
+        S = P[:, 0, 0] + r_diag  # diagonal: its entries are its eigenvalues
+        _check_conditioning(S)
+        AP = A3 @ P                            # (d, 3, 3)
         cross = AP[:, :, 0]                    # A P e1 per axis
         K = cross / S[:, None]
-        nu = Z[k] - prev_X[:, 0]
-        X = prev_X @ A3.T + K * nu[:, None]
+        m = active[k]
+        nu = Z[:m, k] - X[:m, :, 0]
+        if k >= 1:
+            predicted[:m, k - 1] = X[:m, :, 0]
+            innovations[:m, k - 1] = nu
+        X[:m] = X[:m] @ A3.T + K * nu[:, :, None]
         P = AP @ A3.T - cross[:, :, None] * cross[:, None, :] / S[:, None, None] + Qb
         P = 0.5 * (P + np.transpose(P, (0, 2, 1)))
         if np.linalg.eigvalsh(P).min() < -PSD_TOL:
             raise DivergenceError(f"prediction covariance lost PSD at step {k + 1}")
-        if k >= 1:
-            steps.append(k)
-            predicted.append(prev_X[:, 0].copy())
-            innovations.append(nu.copy())
-            gain_norms.append(float(np.sqrt(np.sum(K * K))))
-            p_traces.append(float(prev_P[:, (0, 1, 2), (0, 1, 2)].sum()))
+        covariances.append(P)
+        gains.append(K)
 
-    final_state = FilterState(
-        x_hat=X.T.ravel().copy(),
-        P=_assemble_dense_covariance(P),
-        k=n_obs,
-        last_innovation=nu.copy(),
-        last_gain=_assemble_dense_gain(K),
-    )
-    return TrackRecord(
-        user_id=observations.user_id,
-        steps=np.array(steps, dtype=int),
-        predicted=np.vstack(predicted),
-        innovations=np.vstack(innovations),
-        gain_norms=np.array(gain_norms),
-        p_traces=np.array(p_traces),
-        final_state=final_state,
-    )
-
-
-def _assemble_dense_covariance(P_stack: np.ndarray) -> np.ndarray:
-    d = P_stack.shape[0]
-    idx = np.arange(d)
-    dense = np.zeros((3 * d, 3 * d))
-    for a in range(3):
-        for b in range(3):
-            dense[a * d + idx, b * d + idx] = P_stack[:, a, b]
-    return dense
+    # Shared by every series: entry k belongs to step k, and a series of n
+    # observations reads entries 1..n-1 and the dense P and K after step n-1.
+    steps = np.arange(n_max)
+    gain_norms = np.array([np.sqrt(np.sum(K * K)) for K in gains])
+    p_traces = np.array([P[:, (0, 1, 2), (0, 1, 2)].sum() for P in covariances[:-1]])
+    final_P = {n: _assemble_dense(covariances[n]) for n in set(lengths.tolist())}
+    final_K = {n: _assemble_dense(gains[n - 1][:, :, None]) for n in final_P}
+    for shared in (steps, gain_norms, p_traces, *final_P.values(), *final_K.values()):
+        shared.flags.writeable = False
+    x_final = np.transpose(X, (0, 2, 1)).reshape(n_users, 3 * d)
+    records: list[TrackRecord] = [None] * n_users  # type: ignore[list-item]
+    for row, (i, n) in enumerate(zip(order, lengths[order].tolist())):
+        records[i] = TrackRecord(
+            user_id=series_list[i].user_id,
+            steps=steps[1:n],
+            predicted=predicted[row, : n - 1],
+            innovations=innovations[row, : n - 1],
+            gain_norms=gain_norms[1:n],
+            p_traces=p_traces[1:n],
+            final_state=FilterState(
+                x_hat=x_final[row],
+                P=final_P[n],
+                k=n,
+                last_innovation=innovations[row, n - 2],
+                last_gain=final_K[n],
+            ),
+        )
+    return records
 
 
-def _assemble_dense_gain(K_stack: np.ndarray) -> np.ndarray:
-    d = K_stack.shape[0]
-    idx = np.arange(d)
-    dense = np.zeros((3 * d, d))
-    for a in range(3):
-        dense[a * d + idx, idx] = K_stack[:, a]
-    return dense
+def track_series_decoupled(
+    model: TrackingModel, observations: ProfileSeries, p0: float = DEFAULT_P0
+) -> TrackRecord:
+    """:func:`track_users` on one series: d per-axis filters instead of one dense one.
+
+    Matches :func:`track_series` to rounding whenever Q and R carry no
+    cross-axis coupling (true of every :func:`build_model` output).
+    """
+    return track_users(model, [observations], p0)[0]
+
+
+def _assemble_dense(stack: np.ndarray) -> np.ndarray:
+    """The dense (a*d, b*d) matrix whose (i, j) block is diag(stack[:, i, j])."""
+    d, rows, cols = stack.shape
+    dense = np.zeros((rows, d, cols, d))
+    dense[:, np.arange(d), :, np.arange(d)] = stack
+    return dense.reshape(rows * d, cols * d)
 
 
 # ---------------------------------------------------------------------------
@@ -615,18 +624,22 @@ def _assemble_dense_gain(K_stack: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _track_header(space: ConceptSpace) -> list[str]:
+    return (
+        ["step"]
+        + [f"pred_{name}" for name in space.names]
+        + [f"innov_{name}" for name in space.names]
+        + ["gain_norm", "p_trace"]
+    )
+
+
 def write_track_record(record: TrackRecord, space: ConceptSpace, path: str | Path) -> None:
     d = record.predicted.shape[1]
     if d != space.d:
         raise ValueError(f"record dimension {d} does not match space d={space.d}")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["step"]
-            + [f"pred_{name}" for name in space.names]
-            + [f"innov_{name}" for name in space.names]
-            + ["gain_norm", "p_trace"]
-        )
+        writer.writerow(_track_header(space))
         for i in range(record.n_steps):
             writer.writerow(
                 [int(record.steps[i])]
@@ -686,16 +699,10 @@ def read_final_states(path: str | Path, space: ConceptSpace) -> dict[str, np.nda
 
 
 def read_track_record(path: str | Path, space: ConceptSpace, user_id: str = "") -> TrackRecord:
-    expected = (
-        ["step"]
-        + [f"pred_{name}" for name in space.names]
-        + [f"innov_{name}" for name in space.names]
-        + ["gain_norm", "p_trace"]
-    )
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header != expected:
+        if header != _track_header(space):
             raise ValueError(f"track record {path} does not match the vocabulary")
         rows = [row for row in reader if row]
     if not rows:

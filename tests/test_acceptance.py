@@ -58,7 +58,7 @@ def test_criterion_1_decoupled_matches_dense():
     ok = worst <= 1e-9 and elapsed < 5.0
     _report(
         1,
-        "per-axis filtering matches the dense filter on 20 seeded scenarios",
+        "the batched per-axis engine matches the dense oracle on 20 seeded scenarios",
         ok,
         f"worst |diff| {worst:.3e}, {elapsed:.2f}s",
     )

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,6 +197,9 @@ class TestErrors:
             ]
         )
         assert code == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "nope.txt") in err
+        assert "No such file" in err
 
     def test_empty_event_log(self, tmp_path, capsys):
         vocab = tmp_path / "vocab.txt"
@@ -233,35 +238,85 @@ class TestErrors:
         assert "index" in capsys.readouterr().err
 
 
-class TestDecoupledFlag:
-    def test_matches_dense_within_print_precision(self, pipeline, tmp_path):
-        sim, built = pipeline["sim"], pipeline["built"]
-        dense_dir = pipeline["tracked"]
-        fast_dir = tmp_path / "fast"
-        assert run(
-            [
-                "track",
-                "--vocabulary", str(sim / "vocabulary.txt"),
-                "--profiles", str(built / "built_profiles.csv"),
-                "--decoupled",
-                "--out", str(fast_dir),
-            ]
-        ) == 0
-        index_a = (dense_dir / "tracks" / "index.csv").read_bytes()
-        index_b = (fast_dir / "tracks" / "index.csv").read_bytes()
-        assert index_a == index_b
+class TestTrackMatchesLibrary:
+    def test_matches_track_series_within_print_precision(self, pipeline):
+        """CLI ``track`` output matches the library's dense ``track_series`` within 1e-9."""
+        sim, built, tracked = pipeline["sim"], pipeline["built"], pipeline["tracked"]
+        index = (tracked / "tracks" / "index.csv").read_text(encoding="utf-8")
+        assert index == "user_id,file\nu0000,u0000.csv\nu0001,u0001.csv\nu0002,u0002.csv\n"
         space = gt.read_vocabulary(sim / "vocabulary.txt")
+        series = gt.read_profiles(built / "built_profiles.csv", space)
+        model = gt.build_model(d=space.d)
+        states = gt.read_final_states(tracked / "final_states.csv", space)
+        assert set(states) == set(series)
         for uid in ("u0000", "u0001", "u0002"):
-            a = gt.read_track_record(dense_dir / "tracks" / f"{uid}.csv", space, uid)
-            b = gt.read_track_record(fast_dir / "tracks" / f"{uid}.csv", space, uid)
+            a = gt.track_series(model, series[uid])
+            b = gt.read_track_record(tracked / "tracks" / f"{uid}.csv", space, uid)
+            assert np.array_equal(a.steps, b.steps)
             np.testing.assert_allclose(a.predicted, b.predicted, atol=1e-9, rtol=0.0)
             np.testing.assert_allclose(a.innovations, b.innovations, atol=1e-9, rtol=0.0)
             np.testing.assert_allclose(a.gain_norms, b.gain_norms, atol=1e-9, rtol=0.0)
             np.testing.assert_allclose(a.p_traces, b.p_traces, atol=1e-9, rtol=0.0)
-        sa = gt.read_final_states(dense_dir / "final_states.csv", space)
-        sb = gt.read_final_states(fast_dir / "final_states.csv", space)
-        for uid in sa:
-            np.testing.assert_allclose(sa[uid], sb[uid], atol=1e-9, rtol=0.0)
+            np.testing.assert_allclose(a.final_state.x_hat, states[uid], atol=1e-9, rtol=0.0)
+
+
+class TestUnusedSeedFlag:
+    def test_track_rejects_seed(self, pipeline, tmp_path, capsys):
+        sim, built = pipeline["sim"], pipeline["built"]
+        with pytest.raises(SystemExit) as exc:
+            run(
+                [
+                    "track",
+                    "--vocabulary", str(sim / "vocabulary.txt"),
+                    "--profiles", str(built / "built_profiles.csv"),
+                    "--seed", "1",
+                    "--out", str(tmp_path / "o"),
+                ]
+            )
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+class TestAwkwardUserIds:
+    def test_ids_with_comma_and_quote_survive_the_pipeline(self, tmp_path):
+        ids = ["x,y", 'q"uote']
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("a\nb\n", encoding="utf-8")
+        events = [
+            gt.WatchEvent(uid, 3600.0 * (1 + i) + j, frozenset({"a", "b"} if i % 2 else {"a"}), 1.0)
+            for j, uid in enumerate(ids)
+            for i in range(6)
+        ]
+        gt.write_events(events, tmp_path / "events.csv")
+        instants = tmp_path / "instants.txt"
+        instants.write_text("".join(f"{3600 * (2 * i + 1) + 100}\n" for i in range(3)), encoding="utf-8")
+        built, tracked, scored = tmp_path / "built", tmp_path / "tracked", tmp_path / "scored"
+        assert run(
+            [
+                "build-profiles",
+                "--vocabulary", str(vocab),
+                "--events", str(tmp_path / "events.csv"),
+                "--instants", str(instants),
+                "--out", str(built),
+            ]
+        ) == 0
+        profiles = built / "built_profiles.csv"
+        assert run(
+            ["track", "--vocabulary", str(vocab), "--profiles", str(profiles), "--out", str(tracked)]
+        ) == 0
+        assert run(
+            [
+                "evaluate",
+                "--vocabulary", str(vocab),
+                "--profiles", str(profiles),
+                "--tracks", str(tracked / "tracks"),
+                "--out", str(scored),
+            ]
+        ) == 0
+        space = gt.read_vocabulary(vocab)
+        assert set(gt.read_final_states(tracked / "final_states.csv", space)) == set(ids)
+        report = (scored / "report.csv").read_text(encoding="utf-8")
+        assert '"x,y"' in report and '"q""uote"' in report
 
 
 class TestRecommendDates:
@@ -297,6 +352,19 @@ class TestRecommendDates:
             ]
         )
         assert code == 2
+
+
+class TestImports:
+    def test_cli_does_not_load_scipy_linalg(self):
+        src = str(Path(gt.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import genretrack.cli, sys; assert 'scipy.linalg' not in sys.modules"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestEntryPoint:

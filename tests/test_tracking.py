@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -271,16 +276,17 @@ class TestTrackSeries:
         assert rec.final_state.position().shape == (2,)
 
 
-class TestDecoupledEquivalence:
-    def assert_records_close(self, a, b, atol):
-        assert np.array_equal(a.steps, b.steps)
-        np.testing.assert_allclose(a.predicted, b.predicted, atol=atol, rtol=0.0)
-        np.testing.assert_allclose(a.innovations, b.innovations, atol=atol, rtol=0.0)
-        np.testing.assert_allclose(a.gain_norms, b.gain_norms, atol=atol, rtol=0.0)
-        np.testing.assert_allclose(a.p_traces, b.p_traces, atol=atol, rtol=0.0)
-        np.testing.assert_allclose(a.final_state.x_hat, b.final_state.x_hat, atol=atol, rtol=0.0)
-        np.testing.assert_allclose(a.final_state.P, b.final_state.P, atol=atol, rtol=0.0)
+def assert_records_close(a, b, atol):
+    assert np.array_equal(a.steps, b.steps)
+    np.testing.assert_allclose(a.predicted, b.predicted, atol=atol, rtol=0.0)
+    np.testing.assert_allclose(a.innovations, b.innovations, atol=atol, rtol=0.0)
+    np.testing.assert_allclose(a.gain_norms, b.gain_norms, atol=atol, rtol=0.0)
+    np.testing.assert_allclose(a.p_traces, b.p_traces, atol=atol, rtol=0.0)
+    np.testing.assert_allclose(a.final_state.x_hat, b.final_state.x_hat, atol=atol, rtol=0.0)
+    np.testing.assert_allclose(a.final_state.P, b.final_state.P, atol=atol, rtol=0.0)
 
+
+class TestDecoupledEquivalence:
     def test_matches_dense_path(self):
         rng = np.random.default_rng(5)
         instants = np.arange(20, dtype=float)
@@ -289,13 +295,13 @@ class TestDecoupledEquivalence:
         m = gt.build_model(d=5, q=1e-3, r=1e-2)
         dense = gt.track_series(m, series)
         fast = gt.track_series_decoupled(m, series)
-        self.assert_records_close(dense, fast, atol=1e-9)
+        assert_records_close(dense, fast, atol=1e-9)
 
     def test_single_axis(self):
         rng = np.random.default_rng(6)
         series = gt.ProfileSeries("u", np.arange(10, dtype=float), rng.random((10, 1)))
         m = gt.build_model(d=1, q=1e-4, r=1e-3)
-        self.assert_records_close(
+        assert_records_close(
             gt.track_series(m, series), gt.track_series_decoupled(m, series), atol=1e-9
         )
 
@@ -317,6 +323,48 @@ class TestDecoupledEquivalence:
         series = gt.ProfileSeries("u", np.arange(3, dtype=float), np.ones((3, 2)))
         with pytest.raises(ValueError):
             gt.track_series_decoupled(coupled, series)
+
+
+class TestTrackUsers:
+    def per_axis_model(self):
+        # Different process and measurement noise on each of the three axes.
+        g = np.array([0.5, 1.0, 1.0])
+        Q = np.kron(np.outer(g, g), np.diag([1e-3, 4e-2, 2e-4]))
+        return gt.TrackingModel(d=3, T=1.0, alpha=0.95, Q=Q, R=np.diag([1e-2, 3e-1, 5e-3]))
+
+    def test_matches_dense_on_mixed_lengths(self):
+        rng = np.random.default_rng(12)
+        model = self.per_axis_model()
+        # Late starters: series end together but begin on different days.
+        series = [
+            gt.ProfileSeries(f"u{i}", np.arange(20 - K, 20, dtype=float), rng.random((K, 3)))
+            for i, K in enumerate((2, 9, 14, 5, 9, 20))
+        ]
+        records = gt.track_users(model, series)
+        assert [r.user_id for r in records] == [s.user_id for s in series]
+        for record, one in zip(records, series):
+            assert_records_close(gt.track_series(model, one), record, atol=1e-9)
+        # Equal lengths share one dense final covariance.
+        assert records[1].final_state.P is records[4].final_state.P
+
+    def test_coupled_process_noise_rejected(self):
+        m = gt.build_model(d=2, q=1e-3, r=1e-2)
+        g = np.array([0.5, 1.0, 1.0])
+        Q = m.Q + 1e-4 * np.kron(np.outer(g, g), np.ones((2, 2)))
+        coupled = gt.TrackingModel(d=2, T=1.0, alpha=1.0, Q=Q, R=m.R)
+        series = gt.ProfileSeries("u", np.arange(3, dtype=float), np.ones((3, 2)))
+        with pytest.raises(ValueError, match="Q couples genre axes"):
+            gt.track_users(coupled, [series])
+
+    def test_ill_conditioned_innovation_rejected(self):
+        m = gt.build_model(d=2)
+        wide = gt.TrackingModel(d=2, T=1.0, alpha=1.0, Q=m.Q, R=np.diag([1e-3, 1e14]))
+        series = gt.ProfileSeries("u", np.arange(3, dtype=float), np.ones((3, 2)))
+        with pytest.raises(gt.SingularInnovationError):
+            gt.track_users(wide, [series])
+
+    def test_no_series(self):
+        assert gt.track_users(gt.build_model(d=2), []) == []
 
 
 def thread_counts():
@@ -347,8 +395,9 @@ class TestBlasThreadLimit:
             gt.track_series,
             gt.track_series_decoupled,
             lambda m, s: gt.steady_state_covariance(m, max_iter=5000),
+            lambda m, s: gt.build_model(d=44),
         ],
-        ids=["dense", "decoupled", "steady_state"],
+        ids=["dense", "decoupled", "steady_state", "build_model"],
     )
     def test_counts_restored_after_return(self, two_blas_threads, run):
         run(gt.build_model(d=4), random_series())
@@ -374,6 +423,41 @@ class TestBlasThreadLimit:
         monkeypatch.setattr(tracking, "predict_step", counting_predict_step)
         gt.track_series(gt.build_model(d=4), random_series(K=6))
         assert seen == [[1] * len(OPENBLAS)] * 6
+
+
+LAZY_LINALG_PROBE = """
+import sys
+import numpy as np
+import genretrack as gt
+from genretrack import tracking
+
+libraries = tracking._openblas_libraries()
+for _, set_threads in libraries:
+    set_threads(2)
+assert "scipy.linalg" not in sys.modules
+seen = []
+predict_step = tracking.predict_step
+def counting_predict_step(model, state, z):
+    seen.append([get() for get, _ in libraries])
+    return predict_step(model, state, z)
+tracking.predict_step = counting_predict_step
+series = gt.ProfileSeries("u", np.arange(4.0), np.random.default_rng(0).random((4, 3)))
+gt.track_series(gt.build_model(d=3), series)
+assert "scipy.linalg" in sys.modules
+assert seen == [[1] * len(libraries)] * 4, seen
+assert [get() for get, _ in libraries] == [2] * len(libraries)
+"""
+
+
+@needs_openblas
+def test_one_thread_when_dense_filter_loads_scipy_linalg():
+    """The limit also holds on the first dense run, which loads scipy.linalg itself."""
+    src = str(Path(gt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_LINALG_PROBE], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_track_series_without_openblas_gives_same_record(monkeypatch):
