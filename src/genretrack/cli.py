@@ -18,11 +18,12 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
-import math
 import re
 import sys
 from pathlib import Path
 from typing import Callable
+
+import numpy as np
 
 from .evaluation import evaluate_many, write_histogram, write_report, write_summary
 from .ioutil import fmt, safe_filename
@@ -289,10 +290,6 @@ def _day_to_iso(day: int) -> str:
     return (_EPOCH + datetime.timedelta(days=day)).isoformat()
 
 
-def _event_day(timestamp: float) -> int:
-    return int(math.floor(timestamp / DAY_SECONDS))
-
-
 Writer = Callable[[Path], None]
 
 
@@ -390,19 +387,21 @@ def cmd_recommend(effective: dict) -> Writer:
     if not states:
         raise CliError(f"final-state file {effective['final_states']} contains no users")
     series_by_user = read_profiles(effective["profiles"], space)
+    # The whole log is read: it gives the last day, and a bad row anywhere is an error.
     events = read_events(effective["events"])
+    days = np.floor(events.timestamps / DAY_SECONDS)
     if effective["date"]:
         day = _parse_day(effective["date"])
     else:
         if not events:
             raise CliError("event log is empty; pass --date to pick the recommendation day")
-        day = max(_event_day(ev.timestamp) for ev in events)
+        day = int(days.max())
     date_str = _day_to_iso(day)
 
     watched_today: dict[str, set[str]] = {}
-    for ev in events:
-        if _event_day(ev.timestamp) == day:
-            watched_today.setdefault(ev.user_id, set()).update(ev.genres)
+    for i in np.flatnonzero(days == day):
+        user_id = events.user_ids[events.user[i]]
+        watched_today.setdefault(user_id, set()).update(events.genre_sets[events.genre_set[i]])
 
     recommendations = []
     for user_id in sorted(states):
@@ -472,7 +471,7 @@ def main(argv: list[str] | None = None) -> int:
         outdir = _make_outdir(effective)
         write_outputs(outdir)
         _write_manifest(outdir, command, effective, sources)
-    except (CliError, ValueError, KeyError, FileNotFoundError) as exc:
+    except (CliError, ValueError, KeyError, OSError) as exc:
         # str() of a KeyError is the repr of its message; an OSError's names the path.
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"genretrack {command}: error: {message}", file=sys.stderr)

@@ -4,14 +4,22 @@ Each watch event bumps the interest scores of the genres attached to the
 program, proportionally to how much of the program was actually watched.
 Snapshots of the running profile taken at a fixed grid of instants form the
 observation sequence that the tracker consumes.
+
+A log is held as an :class:`EventLog`: columns of user codes, timestamps,
+genre-set codes and fractions, which :func:`read_events` fills straight from
+the CSV rows.  :func:`build_series` folds every user at once on those columns
+and performs, cell by cell, the additions of :func:`interest_update` in the
+same order, so its profiles are bit-identical to folding one event at a time.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -20,6 +28,7 @@ from .space import ConceptSpace, UnknownGenreError
 
 __all__ = [
     "WatchEvent",
+    "EventLog",
     "ProfileSeries",
     "interest_update",
     "build_series",
@@ -56,6 +65,85 @@ class WatchEvent:
             raise ValueError(
                 f"watched_fraction must be in [0, 1], got {self.watched_fraction!r}"
             )
+
+
+def _sort_table(table: Iterable, codes) -> tuple[tuple, np.ndarray]:
+    """The table sorted, and the codes into it recoded to match."""
+    table = tuple(table)
+    codes = np.asarray(codes, dtype=np.intp)
+    in_range = np.all((codes >= 0) & (codes < len(table)))
+    if len(set(table)) < len(table) or not all(table) or not in_range:
+        raise ValueError("event log table has a blank or repeated entry, or a code outside it")
+    order = sorted(range(len(table)), key=table.__getitem__)
+    recode = np.empty(len(table), dtype=np.intp)
+    recode[order] = np.arange(len(table))
+    return tuple(table[i] for i in order), recode[codes]
+
+
+@dataclass(frozen=True, eq=False)
+class EventLog:
+    """A watch-event log held as columns, one entry per event, in log order.
+
+    ``user`` and ``genre_set`` are codes into the sorted tables of distinct
+    ``user_ids`` and ``genre_sets`` (sorted label tuples), so sorting codes
+    sorts what they stand for.  Construction sorts the tables and recodes the
+    events.  ``len``, indexing and iteration yield :class:`WatchEvent` records.
+    """
+
+    user_ids: tuple[str, ...]
+    user: np.ndarray
+    timestamps: np.ndarray
+    genre_sets: tuple[tuple[str, ...], ...]
+    genre_set: np.ndarray
+    fractions: np.ndarray
+
+    def __post_init__(self) -> None:
+        user_ids, user = _sort_table(self.user_ids, self.user)
+        sets = (tuple(sorted(labels)) for labels in self.genre_sets)
+        genre_sets, genre_set = _sort_table(sets, self.genre_set)
+        timestamps = np.asarray(self.timestamps, dtype=float).view()
+        fractions = np.asarray(self.fractions, dtype=float).view()
+        columns = dict(user=user, timestamps=timestamps, genre_set=genre_set, fractions=fractions)
+        if any(column.shape != (user.size,) for column in columns.values()):
+            raise ValueError("event log columns must be 1-D and of equal length")
+        if not (np.all(np.isfinite(timestamps)) and np.all((fractions >= 0) & (fractions <= 1))):
+            raise ValueError("event log has a non-finite timestamp or a fraction outside [0, 1]")
+        object.__setattr__(self, "user_ids", user_ids)
+        object.__setattr__(self, "genre_sets", genre_sets)
+        for name, column in columns.items():
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    @classmethod
+    def from_events(cls, events: Iterable[WatchEvent]) -> EventLog:
+        """The columns of a sequence of :class:`WatchEvent` records."""
+        users: dict[str, int] = {}
+        sets: dict[tuple[str, ...], int] = {}
+        rows = [
+            (
+                users.setdefault(event.user_id, len(users)),
+                event.timestamp,
+                sets.setdefault(tuple(sorted(event.genres)), len(sets)),
+                event.watched_fraction,
+            )
+            for event in events
+        ]
+        user, timestamps, genre_set, fractions = zip(*rows) if rows else ((),) * 4
+        return cls(tuple(users), user, timestamps, tuple(sets), genre_set, fractions)
+
+    def __len__(self) -> int:
+        return len(self.user)
+
+    def __getitem__(self, i: int) -> WatchEvent:
+        return WatchEvent(
+            self.user_ids[self.user[i]],
+            float(self.timestamps[i]),
+            frozenset(self.genre_sets[self.genre_set[i]]),
+            float(self.fractions[i]),
+        )
+
+    def __iter__(self) -> Iterator[WatchEvent]:
+        return map(self.__getitem__, range(len(self)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,13 +210,8 @@ def interest_update(
     return updated
 
 
-def _event_sort_key(event: WatchEvent):
-    # Timestamp ties broken by content so any input permutation folds the same.
-    return (event.timestamp, tuple(sorted(event.genres)), event.watched_fraction)
-
-
 def build_series(
-    events: Iterable[WatchEvent],
+    events: EventLog | Iterable[WatchEvent],
     space: ConceptSpace,
     instants: Sequence[float],
     decay: float = 1.0,
@@ -136,12 +219,14 @@ def build_series(
 ) -> dict[str, ProfileSeries]:
     """Fold a watch-event log into per-user profile series.
 
-    Events are sorted by timestamp internally (input order never matters) and
-    applied in order; the running profile is snapshotted at each instant,
-    counting events with ``timestamp <= instant``.  A user enters the output
-    at the first instant with at least one contributing event, so no series
-    ever starts with an all-zero history; users with no usable events are
-    omitted.  With ``normalize=True`` each snapshot is scaled to unit L2 norm.
+    Each user's events are applied in (timestamp, sorted genres, fraction)
+    order, so input order never matters; the running profile is snapshotted
+    at each instant, counting events with ``timestamp <= instant``.  A user
+    enters the output at the first instant with at least one contributing
+    event, so no series ever starts with an all-zero history; users with no
+    usable events are omitted.  With ``normalize=True`` each snapshot is
+    scaled to unit L2 norm.  All users advance together, and each profile
+    cell gets the operations of :func:`interest_update` in the same order.
     """
     grid = np.asarray(list(instants), dtype=float)
     if grid.size == 0:
@@ -150,37 +235,53 @@ def build_series(
         raise ValueError("instants must be strictly increasing")
     if not 0.0 <= decay <= 1.0:
         raise ValueError(f"decay must be in [0, 1], got {decay!r}")
+    log = events if isinstance(events, EventLog) else EventLog.from_events(events)
 
-    by_user: dict[str, list[WatchEvent]] = {}
-    for event in events:
-        for label in event.genres:
-            if label not in space:
-                raise UnknownGenreError(
-                    f"unknown genre label: {label!r} in event {event!r}"
-                )
-        by_user.setdefault(event.user_id, []).append(event)
+    # Each genre set's axes, padded with column d: a spare column no snapshot reads.
+    n_genres = np.array([len(labels) for labels in log.genre_sets], dtype=float)
+    set_axes = np.full((len(n_genres), int(n_genres.max(initial=0))), space.d)
+    for code, labels in enumerate(log.genre_sets):
+        try:
+            set_axes[code, : len(labels)] = space.axes(labels)
+        except UnknownGenreError as exc:
+            event = log[int(np.argmax(log.genre_set == code))]
+            raise UnknownGenreError(f"{exc.args[0]} in event {event!r}") from None
+
+    # Canonical order; an event joins the first instant at or after it, or is dropped.
+    order = np.lexsort((log.fractions, log.genre_set, log.timestamps, log.user))
+    interval = np.searchsorted(grid, log.timestamps[order], "left")
+    order, interval = order[interval < grid.size], interval[interval < grid.size]
+    user = log.user[order]
+    first = np.full(len(log.user_ids), grid.size)
+    np.minimum.at(first, user, interval)
+    # Step (j, k) applies the k-th event of every user in interval j; steps run in (j, k) order.
+    runs = np.flatnonzero(np.diff(user * grid.size + interval, prepend=-1))
+    rank = np.arange(user.size) - np.repeat(runs, np.diff(runs, append=user.size))
+    step = interval * user.size + rank
+    by_step = np.argsort(step, kind="stable")
+    order, user, interval, step = order[by_step], user[by_step], interval[by_step], step[by_step]
+    bounds = [*np.flatnonzero(np.diff(step, prepend=-1)).tolist(), user.size]
+    axes = set_axes[log.genre_set[order]]
+    gains = log.fractions[order] / n_genres[log.genre_set[order]]
+
+    current = np.zeros((len(log.user_ids), space.d + 1))
+    snapshots = np.empty((len(log.user_ids), grid.size, space.d))
+    taken = 0  # intervals snapshotted so far
+    for a, b in zip(bounds, bounds[1:]):
+        snapshots[:, taken : interval[a]] = current[:, None, :-1]
+        taken = interval[a]
+        rows = user[a:b]
+        current[rows] *= decay
+        current[rows[:, None], axes[a:b]] += gains[a:b, None]
+    snapshots[:, taken:] = current[:, None, :-1]
 
     out: dict[str, ProfileSeries] = {}
-    for user_id in sorted(by_user):
-        ordered = sorted(by_user[user_id], key=_event_sort_key)
-        profile = space.zeros()
-        consumed = 0
-        kept_instants: list[float] = []
-        kept_profiles: list[np.ndarray] = []
-        for t in grid:
-            while consumed < len(ordered) and ordered[consumed].timestamp <= t:
-                profile = interest_update(profile, ordered[consumed], space, decay)
-                consumed += 1
-            if consumed > 0:
-                kept_instants.append(float(t))
-                kept_profiles.append(profile.copy())
-        if not kept_profiles:
-            continue
-        mat = np.vstack(kept_profiles)
+    for u in np.flatnonzero(first < grid.size):
+        mat = snapshots[u, first[u] :]
         if normalize:
             norms = np.linalg.norm(mat, axis=1, keepdims=True)
             np.divide(mat, norms, out=mat, where=norms > 0)
-        out[user_id] = ProfileSeries(user_id, np.array(kept_instants), mat)
+        out[log.user_ids[u]] = ProfileSeries(log.user_ids[u], grid[first[u] :].copy(), mat)
     return out
 
 
@@ -198,8 +299,21 @@ def build_series(
 _EVENT_HEADER = ["user_id", "timestamp", "genres", "watched_fraction"]
 
 
-def read_events(path: str | Path) -> list[WatchEvent]:
-    events: list[WatchEvent] = []
+def _labels(raw_genres: str) -> tuple[str, ...]:
+    return tuple(sorted({g.strip() for g in raw_genres.split(";")} - {""}))
+
+
+def read_events(path: str | Path) -> EventLog:
+    """Read a watch-event log, row by row, straight into columns.
+
+    Each row is checked as it is read; a faulty one raises ``ValueError``
+    naming ``path:line`` and the cause.
+    """
+    users: dict[str, int] = {}
+    sets: dict[tuple[str, ...], int] = {}
+    set_of_text: dict[str, int] = {}  # raw genres cell -> genre-set code, -1 if empty
+    user, genre_set = array("q"), array("q")
+    timestamps, fractions = array("d"), array("d")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -209,25 +323,36 @@ def read_events(path: str | Path) -> list[WatchEvent]:
             raise ValueError(
                 f"event log {path} has header {header!r}, expected {_EVENT_HEADER!r}"
             )
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
             if len(row) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+                raise ValueError(f"{path}:{reader.line_num}: expected 4 fields, got {len(row)}")
             user_id, raw_ts, raw_genres, raw_fraction = row
-            labels = frozenset(g.strip() for g in raw_genres.split(";") if g.strip())
+            code = set_of_text.get(raw_genres)
+            if code is None:
+                labels = _labels(raw_genres)
+                code = sets.setdefault(labels, len(sets)) if labels else -1
+                set_of_text[raw_genres] = code
             try:
-                events.append(
-                    WatchEvent(
-                        user_id=user_id,
-                        timestamp=parse_timestamp(raw_ts),
-                        genres=labels,
-                        watched_fraction=float(raw_fraction),
-                    )
-                )
+                timestamp = parse_timestamp(raw_ts)
+                fraction = float(raw_fraction)
+                if not (user_id and code >= 0 and math.isfinite(timestamp) and 0 <= fraction <= 1):
+                    WatchEvent(user_id, timestamp, frozenset(_labels(raw_genres)), fraction)
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return events
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+            user.append(users.setdefault(user_id, len(users)))
+            timestamps.append(timestamp)
+            genre_set.append(code)
+            fractions.append(fraction)
+    return EventLog(
+        tuple(users),
+        np.frombuffer(user, dtype=np.int64),
+        np.frombuffer(timestamps, dtype=np.float64),
+        tuple(sets),
+        np.frombuffer(genre_set, dtype=np.int64),
+        np.frombuffer(fractions, dtype=np.float64),
+    )
 
 
 def write_events(events: Iterable[WatchEvent], path: str | Path) -> None:
@@ -277,16 +402,20 @@ def read_profiles(path: str | Path, space: ConceptSpace) -> dict[str, ProfileSer
             )
         instants: dict[str, list[float]] = {}
         rows: dict[str, list[list[float]]] = {}
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
             if len(row) != 2 + space.d:
                 raise ValueError(
-                    f"{path}:{lineno}: expected {2 + space.d} fields, got {len(row)}"
+                    f"{path}:{reader.line_num}: expected {2 + space.d} fields, got {len(row)}"
                 )
             user_id = row[0]
-            instants.setdefault(user_id, []).append(float(row[1]))
-            rows.setdefault(user_id, []).append([float(x) for x in row[2:]])
+            try:
+                values = [float(x) for x in row[1:]]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+            instants.setdefault(user_id, []).append(values[0])
+            rows.setdefault(user_id, []).append(values[1:])
     return {
         user_id: ProfileSeries(user_id, np.array(instants[user_id]), np.array(rows[user_id]))
         for user_id in sorted(rows)

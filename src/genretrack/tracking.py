@@ -32,6 +32,7 @@ from __future__ import annotations
 import csv
 import ctypes
 import functools
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -119,6 +120,12 @@ def _openblas_libraries() -> tuple[tuple[Callable[[], int], Callable[[int], None
     return tuple(found)
 
 
+# Holders of the limit, in any thread; the first in saves the counts, the last out restores them.
+_blas_lock = threading.Lock()
+_blas_holders = 0
+_blas_saved: list[tuple[Callable[[int], None], int]] = []
+
+
 @contextmanager
 def _single_blas_thread() -> Iterator[None]:
     """Hold each bundled OpenBLAS to one thread; restore the previous counts on exit.
@@ -128,19 +135,25 @@ def _single_blas_thread() -> Iterator[None]:
     own thread pool, and when both pools run on a machine with few cores
     they contend for them: the dense filter runs about 10x slower than with
     one thread per library.  On the acceptance scenarios the results are
-    bit-identical either way.  The counts are process-wide, so run parallel
-    tracking in separate processes, not threads.  Does nothing where no
-    OpenBLAS is found.
+    bit-identical either way.  The counts are process-wide: overlapping
+    holders, in one thread or several, share one limit, which lasts until the
+    last of them exits.  Does nothing where no OpenBLAS is found.
     """
-    libraries = _openblas_libraries()
-    previous = [get() for get, _ in libraries]
-    for _, set_threads in libraries:
-        set_threads(1)
+    global _blas_holders, _blas_saved
+    with _blas_lock:
+        if _blas_holders == 0:
+            _blas_saved = [(set_threads, get()) for get, set_threads in _openblas_libraries()]
+            for set_threads, _ in _blas_saved:
+                set_threads(1)
+        _blas_holders += 1
     try:
         yield
     finally:
-        for (_, set_threads), count in zip(libraries, previous):
-            set_threads(count)
+        with _blas_lock:
+            _blas_holders -= 1
+            if _blas_holders == 0:
+                for set_threads, count in _blas_saved:
+                    set_threads(count)
 
 
 def _transition_block(T: float, alpha: float) -> np.ndarray:
@@ -688,7 +701,10 @@ def read_final_states(path: str | Path, space: ConceptSpace) -> dict[str, np.nda
             user_id = row[0]
             if user_id in states:
                 raise ValueError(f"duplicate final state for user {user_id!r}")
-            vec = np.array([float(x) for x in row[1:]])
+            try:
+                vec = np.array([float(x) for x in row[1:]])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
             if vec.size != 3 * space.d:
                 raise ValueError(
                     f"final-state row for {user_id!r} has {vec.size} values, "
@@ -704,11 +720,22 @@ def read_track_record(path: str | Path, space: ConceptSpace, user_id: str = "") 
         header = next(reader, None)
         if header != _track_header(space):
             raise ValueError(f"track record {path} does not match the vocabulary")
-        rows = [row for row in reader if row]
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
+                )
+            try:
+                rows.append([float(x) for x in row])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"track record {path} has no steps")
     d = space.d
-    data = np.array([[float(x) for x in row] for row in rows])
+    data = np.array(rows)
     return TrackRecord(
         user_id=user_id,
         steps=data[:, 0].astype(int),

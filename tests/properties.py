@@ -96,6 +96,72 @@ def check_order_insensitivity(rng: np.random.Generator) -> None:
         assert np.array_equal(series.profiles, other.profiles)
 
 
+def reference_fold(events, space, instants, decay=1.0, normalize=False):
+    """The one-event-at-a-time fold that build_series must match bit for bit.
+
+    Each user's events go through interest_update in (timestamp, sorted
+    genres, fraction) order; the profile is snapshotted at each instant from
+    the user's first contributing event on.  Returns {user: (instants, rows)}.
+    """
+    by_user = {}
+    for event in events:
+        by_user.setdefault(event.user_id, []).append(event)
+    out = {}
+    for user_id in sorted(by_user):
+        ordered = sorted(
+            by_user[user_id],
+            key=lambda e: (e.timestamp, tuple(sorted(e.genres)), e.watched_fraction),
+        )
+        profile = space.zeros()
+        consumed = 0
+        kept_instants, kept_profiles = [], []
+        for t in instants:
+            while consumed < len(ordered) and ordered[consumed].timestamp <= t:
+                profile = gt.interest_update(profile, ordered[consumed], space, decay)
+                consumed += 1
+            if consumed > 0:
+                kept_instants.append(float(t))
+                kept_profiles.append(profile.copy())
+        if not kept_profiles:
+            continue
+        mat = np.vstack(kept_profiles)
+        if normalize:
+            norms = np.linalg.norm(mat, axis=1, keepdims=True)
+            np.divide(mat, norms, out=mat, where=norms > 0)
+        out[user_id] = (np.array(kept_instants), mat)
+    return out
+
+
+def check_fold_matches_reference(rng: np.random.Generator) -> None:
+    """build_series is bit-identical to the per-event reference fold."""
+    d = int(rng.integers(1, 6))
+    labels = [f"g{i}" for i in range(d)]
+    space = gt.new_space(labels)
+    n_users = int(rng.integers(1, 5))
+    decay = float(rng.choice([1.0, 0.8]))
+    normalize = bool(rng.integers(0, 2))
+    instants = np.array([0.0, 2.0, 4.0])
+    events = []
+    for _ in range(int(rng.integers(0, 40))):
+        # coarse timestamps force ties; 5 and 6 fall after the last instant
+        ts = float(rng.integers(-1, 7))
+        genres = rng.choice(labels, size=int(rng.integers(1, d + 1)), replace=False)
+        frac = float(rng.choice([0.0, 1.0, rng.random()]))
+        uid = f"u{int(rng.integers(0, n_users))}"
+        events.append(gt.WatchEvent(uid, ts, frozenset(genres.tolist()), frac))
+    # a user whose only events come after the last instant is omitted
+    events.append(gt.WatchEvent("late", 4.5, frozenset(labels[:1]), 1.0))
+
+    reference = reference_fold(events, space, instants, decay, normalize)
+    built = gt.build_series(events, space, instants, decay=decay, normalize=normalize)
+
+    assert "late" not in built
+    assert list(built) == list(reference)
+    for uid, (ref_instants, ref_profiles) in reference.items():
+        assert np.array_equal(built[uid].instants, ref_instants)
+        assert np.array_equal(built[uid].profiles, ref_profiles)
+
+
 def run_many(check, n_cases: int, seed: int) -> int:
     """Run a property check across seeded cases; returns the case count."""
     rng = np.random.default_rng(seed)

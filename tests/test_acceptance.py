@@ -16,6 +16,7 @@ from genretrack.tracking import FilterState
 from properties import (
     check_cosine_properties,
     check_covariance_properties,
+    check_fold_matches_reference,
     check_order_insensitivity,
     check_watched_exclusion,
     run_many,
@@ -259,6 +260,7 @@ def test_criterion_9_property_suites():
         ("covariance symmetry/PSD", check_covariance_properties, 502),
         ("watched exclusion", check_watched_exclusion, 503),
         ("profile order insensitivity", check_order_insensitivity, 504),
+        ("profile fold matches per-event reference", check_fold_matches_reference, 505),
     ]
     counts = []
     for _, check, seed in suites:
@@ -266,7 +268,7 @@ def test_criterion_9_property_suites():
     ok = all(c >= 100 for c in counts)
     _report(
         9,
-        "four generative property suites hold over 100 random cases each",
+        "five generative property suites hold over 100 random cases each",
         ok,
         ", ".join(f"{name}: {c}" for (name, _, _), c in zip(suites, counts)),
     )

@@ -201,6 +201,41 @@ class TestErrors:
         assert str(tmp_path / "nope.txt") in err
         assert "No such file" in err
 
+    def test_unreadable_input_directory(self, tmp_path, capsys):
+        code = run(
+            [
+                "track",
+                "--vocabulary", str(tmp_path),
+                "--profiles", str(tmp_path / "nope.csv"),
+                "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path) in err
+        assert "Is a directory" in err
+        assert "unexpected" not in err
+
+    def test_unknown_genre_label(self, tmp_path, capsys):
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("a\n", encoding="utf-8")
+        events = tmp_path / "events.csv"
+        events.write_text("user_id,timestamp,genres,watched_fraction\nu,150,a;opera,1\n", encoding="utf-8")
+        instants = tmp_path / "instants.txt"
+        instants.write_text("100\n200\n", encoding="utf-8")
+        code = run(
+            [
+                "build-profiles",
+                "--vocabulary", str(vocab),
+                "--events", str(events),
+                "--instants", str(instants),
+                "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == 2
+        assert "unknown genre label: 'opera'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_empty_event_log(self, tmp_path, capsys):
         vocab = tmp_path / "vocab.txt"
         vocab.write_text("a\n", encoding="utf-8")

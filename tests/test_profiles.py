@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 import genretrack as gt
-from properties import check_order_insensitivity, run_many
+from properties import check_fold_matches_reference, check_order_insensitivity, run_many
 
 
 @pytest.fixture
@@ -155,6 +157,87 @@ class TestBuildSeries:
     def test_seeded_order_sweep(self):
         assert run_many(check_order_insensitivity, 100, seed=202) == 100
 
+    def test_seeded_reference_fold_sweep(self):
+        assert run_many(check_fold_matches_reference, 100, seed=203) == 100
+
+    def test_unknown_genre_named_in_error(self, space):
+        events = [
+            gt.WatchEvent("u", 0.0, frozenset({"Drama"}), 1.0),
+            gt.WatchEvent("v", 1.0, frozenset({"Drama", "Opera"}), 1.0),
+        ]
+        with pytest.raises(gt.UnknownGenreError, match="'Opera' in event WatchEvent.*'v'"):
+            gt.build_series(events, space, np.array([5.0]))
+
+    def test_event_log_and_event_list_fold_alike(self, space):
+        events = [
+            gt.WatchEvent("b", 3.0, frozenset({"Sports", "Drama"}), 0.5),
+            gt.WatchEvent("a", 1.0, frozenset({"Entertainment"}), 1.0),
+        ]
+        from_list = gt.build_series(events, space, [2.0, 4.0], decay=0.5)
+        from_log = gt.build_series(gt.EventLog.from_events(events), space, [2.0, 4.0], decay=0.5)
+        assert list(from_list) == list(from_log) == ["a", "b"]
+        for uid in from_list:
+            assert np.array_equal(from_list[uid].profiles, from_log[uid].profiles)
+
+
+class TestEventLog:
+    EVENTS = [
+        gt.WatchEvent("zed", 5.0, frozenset({"Sports"}), 0.5),
+        gt.WatchEvent("amy", 1.0, frozenset({"Sports", "Drama"}), 1.0),
+        gt.WatchEvent("zed", 2.0, frozenset({"Drama", "Sports"}), 0.25),
+    ]
+
+    def test_sorted_tables_and_codes(self):
+        log = gt.EventLog.from_events(self.EVENTS)
+        assert log.user_ids == ("amy", "zed")
+        assert log.genre_sets == (("Drama", "Sports"), ("Sports",))
+        assert log.user.tolist() == [1, 0, 1]
+        assert log.genre_set.tolist() == [1, 0, 0]
+        assert log.timestamps.tolist() == [5.0, 1.0, 2.0]
+        assert log.fractions.tolist() == [0.5, 1.0, 0.25]
+
+    def test_yields_watch_events_in_log_order(self):
+        log = gt.EventLog.from_events(self.EVENTS)
+        assert len(log) == 3
+        assert list(log) == self.EVENTS
+        assert log[1] == self.EVENTS[1]
+        assert log[-1] == self.EVENTS[-1]
+
+    def test_any_table_order_is_recoded(self):
+        sets = [("Sports",), ("Sports", "Drama")]
+        log = gt.EventLog(("zed", "amy"), [0, 1], [5.0, 1.0], sets, [0, 1], [0.5, 1.0])
+        assert log.user_ids == ("amy", "zed")
+        assert list(log) == self.EVENTS[:2]
+
+    def test_columns_read_only(self):
+        log = gt.EventLog.from_events(self.EVENTS)
+        with pytest.raises(ValueError):
+            log.timestamps[0] = 0.0
+
+    def test_empty(self):
+        log = gt.EventLog.from_events([])
+        assert len(log) == 0 and list(log) == []
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            (("a", "a"), [0, 1], [0.0, 1.0], [("x",)], [0, 0], [1.0, 1.0]),
+            (("a",), [1], [0.0], [("x",)], [0], [1.0]),
+            (("a",), [0, 0], [0.0], [("x",)], [0], [1.0]),
+            (("a",), [0], [np.inf], [("x",)], [0], [1.0]),
+            (("a",), [0], [0.0], [("x",)], [0], [1.5]),
+            (("",), [0], [0.0], [("x",)], [0], [1.0]),
+            (("a",), [0], [0.0], [()], [0], [1.0]),
+        ],
+        ids=[
+            "duplicate_user", "code_out_of_range", "ragged", "inf_timestamp", "fraction",
+            "empty_user", "empty_set",
+        ],
+    )
+    def test_invalid_columns_rejected(self, columns):
+        with pytest.raises(ValueError):
+            gt.EventLog(*columns)
+
 
 class TestProfileSeries:
     def test_validation(self):
@@ -196,6 +279,46 @@ class TestEventIO:
         with pytest.raises(ValueError):
             gt.read_events(path)
 
+    def test_round_trip_as_columns(self, tmp_path):
+        events = TestEventLog.EVENTS
+        path = tmp_path / "events.csv"
+        gt.write_events(events, path)
+        back = gt.read_events(path)
+        assert isinstance(back, gt.EventLog)
+        expected = gt.EventLog.from_events(events)
+        for name in ("user_ids", "genre_sets"):
+            assert getattr(back, name) == getattr(expected, name)
+        for name in ("user", "timestamps", "genre_set", "fractions"):
+            assert np.array_equal(getattr(back, name), getattr(expected, name))
+
+    @pytest.mark.parametrize(
+        "row, cause",
+        [
+            (",5,Drama,1.0", "event user_id must be non-empty"),
+            ("u2,5, ; ,1.0", "event for 'u2' has no genres"),
+            ("u2,inf,Drama,1.0", "event for 'u2' has non-finite timestamp"),
+            ("u2,5,Drama,1.5", "watched_fraction must be in [0, 1], got 1.5"),
+            ("u2,5,Drama,half", "could not convert string to float: 'half'"),
+            ("u2,soon,Drama,1.0", "unparseable timestamp: 'soon'"),
+            ("u2,5,Drama", "expected 4 fields, got 3"),
+        ],
+        ids=["empty_user", "empty_genres", "inf_timestamp", "fraction", "non_numeric", "bad_timestamp", "short_row"],
+    )
+    def test_each_fault_names_its_line(self, tmp_path, row, cause):
+        path = tmp_path / "events.csv"
+        path.write_text(f"user_id,timestamp,genres,watched_fraction\nu1,0,Drama,1.0\n\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:4: {cause}")):
+            gt.read_events(path)
+
+    def test_line_counts_newlines_inside_quoted_cells(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text(
+            'user_id,timestamp,genres,watched_fraction\n"two\nlines",1,Drama,1\nu2,2,Drama,oops\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match=re.escape(f"{path}:4: could not convert")):
+            gt.read_events(path)
+
     def test_bad_row_reports_line(self, tmp_path):
         path = tmp_path / "events.csv"
         path.write_text(
@@ -222,6 +345,12 @@ class TestProfileIO:
         for uid in series:
             assert np.array_equal(back[uid].instants, series[uid].instants)
             assert np.array_equal(back[uid].profiles, series[uid].profiles)
+
+    def test_non_numeric_cell_names_its_line(self, tmp_path, space):
+        path = tmp_path / "profiles.csv"
+        path.write_text("user_id,instant,Drama,Entertainment,Sports\nu,1,0,0,0\nu,2,0,oops,0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: could not convert string to float: 'oops'")):
+            gt.read_profiles(path, space)
 
     def test_vocabulary_mismatch_rejected(self, tmp_path, space):
         events = [gt.WatchEvent("u1", 1.0, frozenset({"Drama"}), 1.0)]

@@ -1,6 +1,9 @@
 import os
+import re
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -412,6 +415,40 @@ class TestBlasThreadLimit:
             track(gt.build_model(d=4), series)
         assert thread_counts() == two_blas_threads
 
+    def test_overlapping_holders_share_one_limit(self, two_blas_threads):
+        # enter A, enter B, exit A, exit B: B keeps one thread until it exits
+        a, b = tracking._single_blas_thread(), tracking._single_blas_thread()
+        a.__enter__()
+        b.__enter__()
+        a.__exit__(None, None, None)
+        assert thread_counts() == [1] * len(OPENBLAS)
+        b.__exit__(None, None, None)
+        assert thread_counts() == two_blas_threads
+
+    def test_holders_in_many_threads(self, two_blas_threads):
+        # a lost update of the holder count would restore the counts while a holder is inside
+        inside = []
+
+        def hold():
+            for _ in range(200):
+                with tracking._single_blas_thread():
+                    time.sleep(0)  # yield, so that holders overlap
+                    inside.append(thread_counts() == [1] * len(OPENBLAS))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=hold) for _ in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert len(inside) == 800 and all(inside)
+        assert thread_counts() == two_blas_threads
+
     def test_one_thread_inside_dense_loop(self, two_blas_threads, monkeypatch):
         seen = []
         predict_step = tracking.predict_step
@@ -548,3 +585,18 @@ class TestTrackRecordIO:
         path.write_text(header + "u1,1,0,0\nu1,2,0,0\n", encoding="utf-8")
         with pytest.raises(ValueError):
             gt.read_final_states(path, space)
+
+    def test_final_states_non_numeric_cell_names_its_line(self, tmp_path):
+        space = gt.new_space(["a"])
+        path = tmp_path / "final.csv"
+        path.write_text("user_id,pos_a,vel_a,acc_a\nu1,1,0,0\nu2,oops,0,0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: could not convert string to float: 'oops'")):
+            gt.read_final_states(path, space)
+
+    def test_track_record_non_numeric_cell_names_its_line(self, tmp_path):
+        space = gt.new_space(["a"])
+        path = tmp_path / "track.csv"
+        header = ",".join(tracking._track_header(space))
+        path.write_text(f"{header}\n1,0.5,0.1,0.2,0.3\n2,0.5,oops,0.2,0.3\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: could not convert string to float: 'oops'")):
+            gt.read_track_record(path, space)
