@@ -9,8 +9,9 @@ files are plain ``key=value`` lines (``#`` starts a comment line).
 
 Commands validate all inputs and compute results in memory before creating or
 writing any output file, so a failing run leaves no partial artifacts.
-Exit codes: 0 success, 2 usage or input validation error, 1 unexpected
-failure.  Diagnostics are one line on stderr.
+Exit codes: 0 success, 2 usage or input validation error (a filter that
+diverges under the given model parameters included), 1 unexpected failure.
+Diagnostics are one line on stderr.
 """
 
 from __future__ import annotations
@@ -26,12 +27,14 @@ from typing import Callable
 import numpy as np
 
 from .evaluation import evaluate_many, write_histogram, write_report, write_summary
-from .ioutil import fmt, safe_filename
+from .ioutil import csv_cells, fmt, safe_filename, write_table
 from .profiles import build_series, read_events, read_profiles, write_events, write_profiles
 from .recommender import concept_deltas, recommend, write_recommendations
 from .space import read_vocabulary, write_vocabulary
 from .synthetic import DAY_SECONDS, ScenarioConfig, generate_scenario
 from .tracking import (
+    DivergenceError,
+    SingularInnovationError,
     build_model,
     read_final_states,
     read_track_record,
@@ -172,17 +175,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config_file(path: str, command: str) -> dict:
-    params = _PARAMS[command]
-    values: dict = {}
+def _content_lines(path: str, what: str) -> list[tuple[int, str]]:
+    """(line number, stripped line) of each line that is neither blank nor a # comment."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise CliError(f"cannot read config file: {exc}") from exc
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
+        raise CliError(f"cannot read {what}: {exc}") from exc
+    lines = (line.strip() for line in text.splitlines())
+    return [(n, line) for n, line in enumerate(lines, 1) if line and not line.startswith("#")]
+
+
+def _read_config_file(path: str, command: str) -> dict:
+    params = _PARAMS[command]
+    values: dict = {}
+    for lineno, line in _content_lines(path, "config file"):
         if "=" not in line:
             raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, raw_value = line.partition("=")
@@ -200,11 +206,8 @@ def _read_config_file(path: str, command: str) -> dict:
 def _merge_params(command: str, args: argparse.Namespace) -> tuple[dict, dict]:
     """Apply precedence defaults < config file < flags; track each value's source."""
     params = _PARAMS[command]
-    effective = {}
-    sources = {}
-    for dest, (_, default) in params.items():
-        effective[dest] = default
-        sources[dest] = "default"
+    effective = {dest: default for dest, (_, default) in params.items()}
+    sources = dict.fromkeys(params, "default")
     given = vars(args)
     if "config" in given:
         for key, value in _read_config_file(given["config"], command).items():
@@ -248,22 +251,9 @@ def _write_manifest(outdir: Path, command: str, effective: dict, sources: dict) 
     (outdir / f"{command}.manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _make_outdir(effective: dict) -> Path:
-    outdir = Path(effective["out"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    return outdir
-
-
 def _read_instants_file(path: str) -> list[float]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot read instants file: {exc}") from exc
     instants = []
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _content_lines(path, "instants file"):
         try:
             instants.append(float(line))
         except ValueError:
@@ -284,10 +274,6 @@ def _parse_day(raw: str) -> int:
     except ValueError:
         raise CliError(f"date must be a day index or an ISO date, got {raw!r}") from None
     return (day - _EPOCH).days
-
-
-def _day_to_iso(day: int) -> str:
-    return (_EPOCH + datetime.timedelta(days=day)).isoformat()
 
 
 Writer = Callable[[Path], None]
@@ -354,27 +340,23 @@ def cmd_track(effective: dict) -> Writer:
     records = track_users(model, series, p0=effective["p0"])
 
     # Per-user file names, deduplicated if sanitizing ever collides two ids.
-    names_taken: set[str] = set()
-    files = []
+    files, names_taken = [], set()
     for record in records:
         base = safe_filename(record.user_id) or "user"
-        name = f"{base}.csv"
-        suffix = 2
+        name, suffix = f"{base}.csv", 2
         while name in names_taken:
-            name = f"{base}_{suffix}.csv"
-            suffix += 1
+            name, suffix = f"{base}_{suffix}.csv", suffix + 1
         names_taken.add(name)
         files.append((record, name))
 
     def write(outdir: Path) -> None:
         tracks_dir = outdir / "tracks"
         tracks_dir.mkdir(exist_ok=True)
-        with open(tracks_dir / "index.csv", "w", newline="", encoding="utf-8") as fh:
-            index = csv.writer(fh, lineterminator="\n")
-            index.writerow(["user_id", "file"])
-            for record, name in files:
-                write_track_record(record, space, tracks_dir / name)
-                index.writerow([record.user_id, name])
+        for record, name in files:
+            write_track_record(record, space, tracks_dir / name)
+        ids = csv_cells(record.user_id for record, _ in files)
+        names = csv_cells(name for _, name in files)
+        write_table(tracks_dir / "index.csv", ["user_id", "file"], "%s,%s\n", zip(ids, names))
         final_states = {record.user_id: record.final_state for record in records}
         write_final_states(final_states, space, outdir / "final_states.csv")
 
@@ -396,7 +378,7 @@ def cmd_recommend(effective: dict) -> Writer:
         if not events:
             raise CliError("event log is empty; pass --date to pick the recommendation day")
         day = int(days.max())
-    date_str = _day_to_iso(day)
+    date_str = (_EPOCH + datetime.timedelta(days=day)).isoformat()
 
     watched_today: dict[str, set[str]] = {}
     for i in np.flatnonzero(days == day):
@@ -468,11 +450,15 @@ def main(argv: list[str] | None = None) -> int:
         effective, sources = _merge_params(command, args)
         # Validate and compute everything first; only then touch the filesystem.
         write_outputs = _HANDLERS[command](effective)
-        outdir = _make_outdir(effective)
+        outdir = Path(effective["out"])
+        outdir.mkdir(parents=True, exist_ok=True)
         write_outputs(outdir)
         _write_manifest(outdir, command, effective, sources)
-    except (CliError, ValueError, KeyError, OSError) as exc:
-        # str() of a KeyError is the repr of its message; an OSError's names the path.
+    except (
+        CliError, ValueError, KeyError, OSError, DivergenceError, SingularInnovationError
+    ) as exc:
+        # str() of a KeyError is the repr of its message; an OSError's names the path.  Under
+        # track_users a filter that diverges depends only on the model and p0, which are inputs.
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"genretrack {command}: error: {message}", file=sys.stderr)
         return 2

@@ -16,14 +16,14 @@ that step's observation, so every metric here is out-of-sample:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .ioutil import fmt
+from .ioutil import csv_cells, fmt, write_table
 from .profiles import ProfileSeries
 from .tracking import TrackRecord
 
@@ -253,14 +253,13 @@ def pooled_histogram(
 
 def write_report(pooled: PooledReport, path: str | Path) -> None:
     """Per-step CSV: one row per (user, step), NaN cosine marking skipped steps."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user_id", "step", "cosine_distance"])
-        for report in pooled.reports:
-            for i in range(report.n_steps):
-                writer.writerow(
-                    [report.user_id, int(report.steps[i]), fmt(report.per_step_cosine[i])]
-                )
+    cells = csv_cells(report.user_id for report in pooled.reports)
+    rows = (
+        row
+        for cell, report in zip(cells, pooled.reports)
+        for row in zip(repeat(cell), report.steps.tolist(), report.per_step_cosine.tolist())
+    )
+    write_table(path, ["user_id", "step", "cosine_distance"], "%s,%d,%.17g\n", rows)
 
 
 def write_summary(pooled: PooledReport, path: str | Path) -> None:
@@ -288,8 +287,5 @@ def write_summary(pooled: PooledReport, path: str | Path) -> None:
 def write_histogram(pooled: PooledReport, path: str | Path, bin_width: float = 0.05) -> None:
     """Pooled cosine-distance histogram as CSV rows (bin_lo, bin_hi, count)."""
     edges, counts = pooled_histogram(pooled, bin_width)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bin_lo", "bin_hi", "count"])
-        for i in range(counts.size):
-            writer.writerow([fmt(edges[i]), fmt(edges[i + 1]), int(counts[i])])
+    rows = zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist())
+    write_table(path, ["bin_lo", "bin_hi", "count"], "%.17g,%.17g,%d\n", rows)

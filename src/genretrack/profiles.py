@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .ioutil import fmt, parse_timestamp
+from .ioutil import csv_cells, parse_timestamp, write_table
 from .space import ConceptSpace, UnknownGenreError
 
 __all__ = [
@@ -355,19 +355,17 @@ def read_events(path: str | Path) -> EventLog:
     )
 
 
-def write_events(events: Iterable[WatchEvent], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_EVENT_HEADER)
-        for event in events:
-            writer.writerow(
-                [
-                    event.user_id,
-                    fmt(event.timestamp),
-                    ";".join(sorted(event.genres)),
-                    fmt(event.watched_fraction),
-                ]
-            )
+def write_events(events: EventLog | Iterable[WatchEvent], path: str | Path) -> None:
+    log = events if isinstance(events, EventLog) else EventLog.from_events(events)
+    users = csv_cells(log.user_ids)
+    sets = csv_cells(";".join(labels) for labels in log.genre_sets)
+    rows = zip(
+        map(users.__getitem__, log.user.tolist()),
+        log.timestamps.tolist(),
+        map(sets.__getitem__, log.genre_set.tolist()),
+        log.fractions.tolist(),
+    )
+    write_table(path, _EVENT_HEADER, "%s,%.17g,%s,%.17g\n", rows)
 
 
 def write_profiles(
@@ -375,17 +373,17 @@ def write_profiles(
     space: ConceptSpace,
     path: str | Path,
 ) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user_id", "instant", *space.names])
-        for user_id in sorted(series):
-            ps = series[user_id]
-            if ps.d != space.d:
-                raise ValueError(
-                    f"series for {user_id!r} has d={ps.d}, space has d={space.d}"
-                )
-            for t, row in zip(ps.instants, ps.profiles):
-                writer.writerow([user_id, fmt(t), *(fmt(x) for x in row)])
+    for user_id, ps in sorted(series.items()):
+        if ps.d != space.d:
+            raise ValueError(f"series for {user_id!r} has d={ps.d}, space has d={space.d}")
+    users = sorted(series)
+    rows = (
+        (cell, *row)
+        for cell, user_id in zip(csv_cells(users), users)
+        for row in np.column_stack([series[user_id].instants, series[user_id].profiles]).tolist()
+    )
+    header = ["user_id", "instant", *space.names]
+    write_table(path, header, "%s" + ",%.17g" * (space.d + 1) + "\n", rows)
 
 
 def read_profiles(path: str | Path, space: ConceptSpace) -> dict[str, ProfileSeries]:

@@ -102,16 +102,9 @@ def concept_deltas(
         )
     if not (np.all(np.isfinite(est)) and np.all(np.isfinite(calc))):
         raise ValueError("interest vectors contain non-finite values")
-    deltas = est - calc
     out = []
-    for axis in range(deltas.size):
-        delta = float(deltas[axis])
-        if delta >= theta:
-            cls = POSITIVE
-        elif delta <= -theta:
-            cls = NEGATIVE
-        else:
-            cls = NEUTRAL
+    for axis, delta in enumerate((est - calc).tolist()):
+        cls = POSITIVE if delta >= theta else NEGATIVE if delta <= -theta else NEUTRAL
         out.append(ConceptDelta(axis=axis, delta=delta, classification=cls))
     return out
 
@@ -130,9 +123,7 @@ def recommend(
     Ties in delta break toward the lower axis index, so output is a pure
     function of the inputs.
     """
-    watched_axes = set()
-    for label in watched_today:
-        watched_axes.add(space.axis(label))  # raises UnknownGenreError
+    watched_axes = {space.axis(label) for label in watched_today}  # raises UnknownGenreError
     seen_axes = set()
     for cd in deltas:
         if cd.axis >= space.d:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -17,6 +18,10 @@ __all__ = [
     "read_vocabulary",
     "write_vocabulary",
 ]
+
+
+# ';' joins a program's genres in the event log; the vocabulary file holds one label a line.
+_UNWRITABLE = re.compile(r"[;\x00-\x1f\x7f-\x9f\u2028\u2029]")
 
 
 class UnknownGenreError(KeyError):
@@ -46,6 +51,11 @@ class ConceptSpace:
         for pos, label in enumerate(names):
             if not isinstance(label, str) or not label.strip():
                 raise ValueError(f"blank genre label at position {pos}: {label!r}")
+            if label != label.strip() or _UNWRITABLE.search(label):
+                raise ValueError(
+                    f"genre label {label!r} cannot be written: a label may not hold ';', "
+                    "a control character or a line break, or begin or end with whitespace"
+                )
             if label in index:
                 raise ValueError(f"duplicate genre label: {label!r}")
             index[label] = pos

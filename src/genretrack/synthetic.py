@@ -19,6 +19,8 @@ the generated data stays effectively linear.  Three regimes:
 Everything is driven by ``numpy.random.default_rng`` seeded through
 ``SeedSequence(seed, spawn_key=(user_index, stream))``, so output is a pure
 function of the config: same config, same bytes out, serial or parallel.
+Watch events are generated straight into the columns of an ``EventLog``, one
+categorical draw per user-day, with no per-event object.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .profiles import ProfileSeries, WatchEvent
+from .profiles import EventLog, ProfileSeries
 from .space import ConceptSpace, new_space
 from .tracking import _transition_block
 
@@ -107,7 +109,7 @@ class ScenarioData:
     config: ScenarioConfig
     space: ConceptSpace
     users: tuple[SimulatedUser, ...]
-    events: tuple[WatchEvent, ...]
+    events: EventLog
     programs_per_day: int
 
     @property
@@ -202,8 +204,8 @@ def generate_events(
     space: ConceptSpace,
     programs_per_day: int = 3,
     seed: int = 0,
-) -> list[WatchEvent]:
-    """Derive watch-event streams whose built profiles approximate the series.
+) -> EventLog:
+    """Derive a watch-event log whose built profiles approximate the series.
 
     Day k of a series contributes its non-negative increment over day k-1 (day
     0 contributes the full first row).  That mass is split over
@@ -213,14 +215,16 @@ def generate_events(
     produce no events.  Timestamps are integer seconds, evenly spread inside
     the day, strictly before the day's snapshot instant.  Users are processed
     in sorted id order with a per-index random stream, so the output is
-    deterministic in (trajectories, programs_per_day, seed).
+    deterministic in (trajectories, programs_per_day, seed).  The log's
+    tables hold only the users and genres that occur.
     """
     if programs_per_day < 1:
         raise ValueError(f"programs_per_day must be >= 1, got {programs_per_day}")
-    events: list[WatchEvent] = []
-    for index, user_id in enumerate(sorted(trajectories)):
-        series = trajectories[user_id]
-        Z = series.profiles
+    user_ids = sorted(trajectories)
+    # Per user-day with events: user index, event count, fraction; per event: axis, timestamp.
+    user, counts, fractions, axes, timestamps = [], [], [], [], []
+    for index, user_id in enumerate(user_ids):
+        Z = trajectories[user_id].profiles
         if Z.shape[1] != space.d:
             raise ValueError(
                 f"series for {user_id!r} has dimension {Z.shape[1]}, space has d={space.d}"
@@ -228,26 +232,28 @@ def generate_events(
         if np.any(Z < 0):
             raise ValueError(f"series for {user_id!r} has negative entries")
         rng = _user_rng(seed, index, 1)
-        for k in range(Z.shape[0]):
-            delta = Z[k] - Z[k - 1] if k > 0 else Z[k]
-            delta = np.maximum(delta, 0.0)
+        deltas = np.maximum(np.concatenate([Z[:1], np.diff(Z, axis=0)]), 0.0)
+        for k, delta in enumerate(deltas):
             total = float(delta.sum())
             if total <= 0.0:
                 continue
             n = max(programs_per_day, math.ceil(total))
-            fraction = total / n
-            axes = rng.choice(space.d, size=n, p=delta / total)
-            for i in range(n):
-                offset = ((i + 1) * DAY_SECONDS) // (n + 1)
-                events.append(
-                    WatchEvent(
-                        user_id=user_id,
-                        timestamp=float(k * DAY_SECONDS + offset),
-                        genres=frozenset({space.names[int(axes[i])]}),
-                        watched_fraction=fraction,
-                    )
-                )
-    return events
+            user.append(index)
+            counts.append(n)
+            fractions.append(total / n)
+            axes.append(rng.choice(space.d, size=n, p=delta / total))
+            timestamps.append(k * DAY_SECONDS + np.arange(1, n + 1) * DAY_SECONDS // (n + 1))
+    # Tables of the users and genres that occur, and codes into them.
+    users, user = np.unique(np.array(user, dtype=np.intp), return_inverse=True)
+    genres, genre_set = np.unique(np.concatenate([[], *axes]).astype(np.intp), return_inverse=True)
+    return EventLog(
+        user_ids=tuple(user_ids[i] for i in users.tolist()),
+        user=np.repeat(user, counts),
+        timestamps=np.concatenate([[], *timestamps]),
+        genre_sets=tuple((space.names[a],) for a in genres.tolist()),
+        genre_set=genre_set,
+        fractions=np.repeat(fractions, counts),
+    )
 
 
 def generate_scenario(config: ScenarioConfig, programs_per_day: int = 3) -> ScenarioData:
@@ -261,6 +267,6 @@ def generate_scenario(config: ScenarioConfig, programs_per_day: int = 3) -> Scen
         config=config,
         space=space,
         users=users,
-        events=tuple(events),
+        events=events,
         programs_per_day=programs_per_day,
     )

@@ -32,6 +32,7 @@ from __future__ import annotations
 import csv
 import ctypes
 import functools
+import importlib.util
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -39,9 +40,8 @@ from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
-import scipy
 
-from .ioutil import fmt
+from .ioutil import csv_cells, write_table
 from .profiles import ProfileSeries
 from .space import ConceptSpace
 
@@ -99,8 +99,9 @@ def _openblas_libraries() -> tuple[tuple[Callable[[], int], Callable[[int], None
     built against another BLAS (MKL, Accelerate, a system library).
     """
     found = []
-    for package in (np, scipy):
-        root = Path(package.__file__).parent
+    # find_spec locates scipy without importing it.
+    specs = [importlib.util.find_spec(name) for name in ("numpy", "scipy")]
+    for root in (Path(spec.origin).parent for spec in specs if spec and spec.origin):
         paths = sorted(root.parent.glob(f"{root.name}.libs/*openblas*"))
         paths += sorted(root.glob(".dylibs/*openblas*"))
         for path in paths:
@@ -109,14 +110,12 @@ def _openblas_libraries() -> tuple[tuple[Callable[[], int], Callable[[int], None
             except OSError:
                 continue
             for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-                get = getattr(lib, get_name, None)
-                set_ = getattr(lib, set_name, None)
-                if get is None or set_ is None:
-                    continue
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                found.append((get, set_))
-                break
+                get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    found.append((get, set_))
+                    break
     return tuple(found)
 
 
@@ -246,15 +245,20 @@ def build_model(
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    if not T > 0:
-        raise ValueError(f"inter-sample interval T must be > 0, got {T}")
+    for name, value in (("T", T), ("alpha", alpha), ("q", q), ("r", r)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if q < 0:
         raise ValueError(f"process-noise scale q must be >= 0, got {q}")
     if not r > 0:
         raise ValueError(f"measurement-noise variance r must be > 0, got {r}")
     eye = np.eye(d)
     if q_structure == "white_accel":
-        Q = q * np.kron(_white_accel_block(T), eye)
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = q * _white_accel_block(T)
+        if not np.all(np.isfinite(block)):
+            raise ValueError(f"process noise overflows: q={q} and T={T} give a non-finite Q")
+        Q = np.kron(block, eye)
     elif q_structure == "identity":
         Q = q * np.eye(3 * d)
     else:
@@ -315,7 +319,7 @@ def init_filter(model: TrackingModel, z0: np.ndarray, p0: float = DEFAULT_P0) ->
 def _check_conditioning(eigenvalues: np.ndarray) -> None:
     """Reject an innovation covariance with these eigenvalues as ill-conditioned."""
     lowest, highest = np.min(eigenvalues), np.max(eigenvalues)
-    if lowest <= 0.0 or highest > COND_LIMIT * lowest:
+    if lowest <= 0.0 or highest / COND_LIMIT > lowest:  # a division cannot overflow
         raise SingularInnovationError(
             f"innovation covariance ill-conditioned: eigenvalue range [{lowest:.3e}, {highest:.3e}]"
         )
@@ -459,13 +463,8 @@ def track_series(
 
     The filter starts at the first observation; every subsequent snapshot is
     paired with the prediction made before it was consumed, so the record is
-    honest out-of-sample output.  Needs at least 2 observations.
-
-    While it runs, each OpenBLAS bundled with numpy or scipy is held to one
-    thread, and the previous counts are restored on return or on an error:
-    the ``3d x 3d`` products are too small to gain from threads, and two
-    bundled thread pools contending for a few cores slow the dense filter
-    about 10x.
+    honest out-of-sample output.  Needs at least 2 observations.  Holds each
+    bundled OpenBLAS to one thread while it runs (see ``_single_blas_thread``).
     """
     Z = observations.profiles
     if observations.d != model.d:
@@ -565,17 +564,20 @@ def track_users(
     for k in range(n_max):
         S = P[:, 0, 0] + r_diag  # diagonal: its entries are its eigenvalues
         _check_conditioning(S)
-        AP = A3 @ P                            # (d, 3, 3)
-        cross = AP[:, :, 0]                    # A P e1 per axis
-        K = cross / S[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
+            AP = A3 @ P                        # (d, 3, 3)
+            cross = AP[:, :, 0]                # A P e1 per axis
+            K = cross / S[:, None]
+            P = AP @ A3.T - cross[:, :, None] * cross[:, None, :] / S[:, None, None] + Qb
+            P = 0.5 * (P + np.transpose(P, (0, 2, 1)))
+        if not np.all(np.isfinite(P)):
+            raise DivergenceError(f"prediction covariance is not finite at step {k + 1}")
         m = active[k]
         nu = Z[:m, k] - X[:m, :, 0]
         if k >= 1:
             predicted[:m, k - 1] = X[:m, :, 0]
             innovations[:m, k - 1] = nu
         X[:m] = X[:m] @ A3.T + K * nu[:, :, None]
-        P = AP @ A3.T - cross[:, :, None] * cross[:, None, :] / S[:, None, None] + Qb
-        P = 0.5 * (P + np.transpose(P, (0, 2, 1)))
         if np.linalg.eigvalsh(P).min() < -PSD_TOL:
             raise DivergenceError(f"prediction covariance lost PSD at step {k + 1}")
         covariances.append(P)
@@ -638,53 +640,35 @@ def _assemble_dense(stack: np.ndarray) -> np.ndarray:
 
 
 def _track_header(space: ConceptSpace) -> list[str]:
-    return (
-        ["step"]
-        + [f"pred_{name}" for name in space.names]
-        + [f"innov_{name}" for name in space.names]
-        + ["gain_norm", "p_trace"]
-    )
+    labels = [f"{part}_{n}" for part in ("pred", "innov") for n in space.names]
+    return ["step", *labels, "gain_norm", "p_trace"]
 
 
 def write_track_record(record: TrackRecord, space: ConceptSpace, path: str | Path) -> None:
     d = record.predicted.shape[1]
     if d != space.d:
         raise ValueError(f"record dimension {d} does not match space d={space.d}")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_track_header(space))
-        for i in range(record.n_steps):
-            writer.writerow(
-                [int(record.steps[i])]
-                + [fmt(x) for x in record.predicted[i]]
-                + [fmt(x) for x in record.innovations[i]]
-                + [fmt(record.gain_norms[i]), fmt(record.p_traces[i])]
-            )
+    columns = [record.predicted, record.innovations, record.gain_norms, record.p_traces]
+    rows = zip(record.steps.tolist(), *np.column_stack(columns).T.tolist())
+    write_table(path, _track_header(space), "%d" + ",%.17g" * (2 * d + 2) + "\n", rows)
 
 
 def _final_state_header(space: ConceptSpace) -> list[str]:
-    return (
-        ["user_id"]
-        + [f"pos_{name}" for name in space.names]
-        + [f"vel_{name}" for name in space.names]
-        + [f"acc_{name}" for name in space.names]
-    )
+    return ["user_id", *(f"{part}_{n}" for part in ("pos", "vel", "acc") for n in space.names)]
 
 
 def write_final_states(
     states: dict[str, FilterState], space: ConceptSpace, path: str | Path
 ) -> None:
     """One row per user: the final predicted state vector, [pos | vel | acc]."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_final_state_header(space))
-        for user_id in sorted(states):
-            state = states[user_id]
-            if state.d != space.d:
-                raise ValueError(
-                    f"state for {user_id!r} has d={state.d}, space has d={space.d}"
-                )
-            writer.writerow([user_id] + [fmt(x) for x in state.x_hat])
+    for user_id, state in sorted(states.items()):
+        if state.d != space.d:
+            raise ValueError(f"state for {user_id!r} has d={state.d}, space has d={space.d}")
+    users = sorted(states)
+    rows = (
+        (cell, *states[user_id].x_hat.tolist()) for cell, user_id in zip(csv_cells(users), users)
+    )
+    write_table(path, _final_state_header(space), "%s" + ",%.17g" * (3 * space.d) + "\n", rows)
 
 
 def read_final_states(path: str | Path, space: ConceptSpace) -> dict[str, np.ndarray]:

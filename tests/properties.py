@@ -8,9 +8,12 @@ fixed seed so failures reproduce exactly.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 import genretrack as gt
+from genretrack.synthetic import DAY_SECONDS, _user_rng
 
 
 def random_nonzero_vector(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -160,6 +163,77 @@ def check_fold_matches_reference(rng: np.random.Generator) -> None:
     for uid, (ref_instants, ref_profiles) in reference.items():
         assert np.array_equal(built[uid].instants, ref_instants)
         assert np.array_equal(built[uid].profiles, ref_profiles)
+
+
+def reference_events(trajectories, space, programs_per_day=3, seed=0):
+    """The one-event-at-a-time generator that generate_events must match column for column."""
+    if programs_per_day < 1:
+        raise ValueError(f"programs_per_day must be >= 1, got {programs_per_day}")
+    events: list[gt.WatchEvent] = []
+    for index, user_id in enumerate(sorted(trajectories)):
+        series = trajectories[user_id]
+        Z = series.profiles
+        if Z.shape[1] != space.d:
+            raise ValueError(
+                f"series for {user_id!r} has dimension {Z.shape[1]}, space has d={space.d}"
+            )
+        if np.any(Z < 0):
+            raise ValueError(f"series for {user_id!r} has negative entries")
+        rng = _user_rng(seed, index, 1)
+        for k in range(Z.shape[0]):
+            delta = Z[k] - Z[k - 1] if k > 0 else Z[k]
+            delta = np.maximum(delta, 0.0)
+            total = float(delta.sum())
+            if total <= 0.0:
+                continue
+            n = max(programs_per_day, math.ceil(total))
+            fraction = total / n
+            axes = rng.choice(space.d, size=n, p=delta / total)
+            for i in range(n):
+                offset = ((i + 1) * DAY_SECONDS) // (n + 1)
+                events.append(
+                    gt.WatchEvent(
+                        user_id=user_id,
+                        timestamp=float(k * DAY_SECONDS + offset),
+                        genres=frozenset({space.names[int(axes[i])]}),
+                        watched_fraction=fraction,
+                    )
+                )
+    return events
+
+
+def assert_same_log(a: gt.EventLog, b: gt.EventLog) -> None:
+    """Two event logs hold equal tables and columns (EventLog compares by identity)."""
+    assert a.user_ids == b.user_ids
+    assert a.genre_sets == b.genre_sets
+    for column in ("user", "timestamps", "genre_set", "fractions"):
+        assert np.array_equal(getattr(a, column), getattr(b, column)), column
+
+
+def check_events_match_reference(rng: np.random.Generator) -> None:
+    """generate_events gives the reference generator's events, as equal columns."""
+    d = int(rng.integers(1, 7))
+    # labels out of axis order, so the genre-set table is re-sorted
+    labels = [f"g{j}" for j in rng.permutation(d).tolist()]
+    space = gt.new_space(labels)
+    K = int(rng.integers(2, 8))
+    programs_per_day = int(rng.integers(1, 5))
+    trajectories = {}
+    for i in range(int(rng.integers(1, 6))):
+        # scale 4 lets a day's total exceed programs_per_day, so n = ceil(total)
+        Z = rng.random((K, d)) * float(rng.choice([0.1, 1.0, 4.0]))
+        for k in range(1, K):
+            if rng.random() < 0.3:  # a day with no increment, or a falling one
+                Z[k] = Z[k - 1] * float(rng.choice([1.0, 0.5]))
+        if rng.random() < 0.2:
+            Z[:] = 0.0  # a user with no events at all
+        uid = f"user{int(rng.integers(0, 1000))}-{i}"
+        trajectories[uid] = gt.ProfileSeries(uid, gt.day_instants(K), Z)
+    seed = int(rng.integers(0, 2**31))
+
+    reference = reference_events(trajectories, space, programs_per_day, seed)
+    log = gt.generate_events(trajectories, space, programs_per_day, seed)
+    assert_same_log(log, gt.EventLog.from_events(reference))
 
 
 def run_many(check, n_cases: int, seed: int) -> int:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +237,36 @@ class TestErrors:
         assert "unknown genre label: 'opera'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "flags, cause",
+        [
+            (["--alpha", "1e100"], "prediction covariance is not finite at step 2"),
+            (
+                ["--alpha", "0.5", "--q", "0", "--r", "1e-300", "--p0", "1"],
+                "innovation covariance ill-conditioned",
+            ),
+            (["--alpha", "nan"], "alpha must be finite, got nan"),
+        ],
+        ids=["divergence", "singular_innovation", "non_finite_alpha"],
+    )
+    def test_model_that_fails_the_filter_is_an_input_error(
+        self, pipeline, tmp_path, capsys, flags, cause
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would end as "unexpected error"
+            code = run(
+                [
+                    "track",
+                    "--vocabulary", str(pipeline["sim"] / "vocabulary.txt"),
+                    "--profiles", str(pipeline["sim"] / "profiles.csv"),
+                    *flags,
+                    "--out", str(tmp_path / "o"),
+                ]
+            )
+        assert code == 2
+        assert f"genretrack track: error: {cause}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_empty_event_log(self, tmp_path, capsys):
         vocab = tmp_path / "vocab.txt"
         vocab.write_text("a\n", encoding="utf-8")
@@ -399,6 +430,19 @@ class TestImports:
             text=True,
             env=env,
         )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_cli_does_not_load_scipy(self):
+        # the OpenBLAS thread limit finds scipy's bundled library without importing scipy
+        src = str(Path(gt.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        probe = (
+            "import sys, genretrack.cli\n"
+            "from genretrack import tracking\n"
+            "tracking._openblas_libraries()\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
 
 

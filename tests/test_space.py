@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,19 @@ class TestConceptSpace:
     def test_blank_label_rejected(self):
         with pytest.raises(ValueError):
             gt.new_space(["Drama", ""])
+
+    @pytest.mark.parametrize(
+        "label",
+        ["a;b", " Drama", "Drama ", "a\nb", "a\rb", "tab\there", "a\x00", "a\x7f", "a\x85b", "a\u2028b"],
+    )
+    def test_label_the_files_cannot_hold_rejected(self, label):
+        # ';' joins genres in the event log; the vocabulary file holds one stripped label a line
+        with pytest.raises(ValueError, match=re.escape(f"genre label {label!r} cannot be written")):
+            gt.new_space(["Comedy", label])
+
+    @pytest.mark.parametrize("label", ["sci,fi", 'the "best"', "Café", "Science Fiction", "a=b"])
+    def test_label_with_comma_quote_or_inner_space_accepted(self, label):
+        assert gt.new_space([label]).names == (label,)
 
     def test_unknown_genre(self):
         space = gt.new_space(["Drama"])
@@ -129,6 +144,15 @@ class TestVocabularyIO:
         gt.write_vocabulary(gt.new_space(labels), path)
         space = gt.read_vocabulary(path)
         assert space.names == tuple(labels)
+
+    def test_awkward_labels_round_trip_through_events(self, tmp_path):
+        space = gt.new_space(["sci,fi", 'the "best"', "Café"])
+        gt.write_vocabulary(space, tmp_path / "vocab.txt")
+        assert gt.read_vocabulary(tmp_path / "vocab.txt").names == space.names
+        events = [gt.WatchEvent("u", 1.0, frozenset(space.names), 1.0)]
+        gt.write_events(events, tmp_path / "events.csv")
+        series = gt.build_series(gt.read_events(tmp_path / "events.csv"), space, [1.0])
+        assert np.array_equal(series["u"].profiles, [[1 / 3, 1 / 3, 1 / 3]])
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "vocab.txt"

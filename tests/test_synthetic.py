@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import genretrack as gt
+from properties import assert_same_log, check_events_match_reference, run_many
 
 
 class TestScenarioConfig:
@@ -40,7 +41,7 @@ class TestTrajectories:
         for ua, ub in zip(a.users, b.users):
             assert np.array_equal(ua.truth.profiles, ub.truth.profiles)
             assert np.array_equal(ua.observed.profiles, ub.observed.profiles)
-        assert a.events == b.events
+        assert_same_log(a.events, b.events)
 
     def test_seed_changes_output(self):
         a = gt.generate_scenario(self.small(seed=1))
@@ -130,7 +131,9 @@ class TestVocabulary:
 class TestGenerateEvents:
     def test_empty_map(self):
         space = gt.new_space(["a"])
-        assert gt.generate_events({}, space, programs_per_day=3, seed=0) == []
+        log = gt.generate_events({}, space, programs_per_day=3, seed=0)
+        assert isinstance(log, gt.EventLog)
+        assert (len(log), log.user_ids, log.genre_sets) == (0, (), ())
 
     def test_single_axis_all_events_that_genre(self):
         space = gt.new_space(["only"])
@@ -158,7 +161,32 @@ class TestGenerateEvents:
         space = gt.new_space(gt.placeholder_vocabulary(cfg.d))
         a = gt.generate_events(series, space, programs_per_day=3, seed=4)
         b = gt.generate_events(series, space, programs_per_day=3, seed=4)
-        assert a == b
+        assert_same_log(a, b)
+
+    def test_seeded_reference_sweep(self):
+        # random d, users, programs per day, flat days and days needing ceil(total) events
+        assert run_many(check_events_match_reference, 200, seed=606) == 200
+
+    def test_tables_hold_what_occurs_and_read_back_equal(self, tmp_path):
+        space = gt.new_space(["d", "c", "b", "a"])
+        instants = gt.day_instants(3)
+        rising = np.array([[0.5, 0.0, 0.2, 0.0], [1.5, 0.0, 0.2, 0.0], [1.5, 0.0, 3.0, 0.0]])
+        series = {
+            "zed": gt.ProfileSeries("zed", instants, rising),
+            "idle": gt.ProfileSeries("idle", instants, np.zeros((3, 4))),
+            "amy": gt.ProfileSeries("amy", instants, rising[::-1].copy()),
+        }
+        log = gt.generate_events(series, space, programs_per_day=2, seed=5)
+        assert log.user_ids == ("amy", "zed")
+        assert log.genre_sets == (("b",), ("d",))
+        gt.write_events(log, tmp_path / "events.csv")
+        assert_same_log(gt.read_events(tmp_path / "events.csv"), log)
+
+    def test_scenario_log_reads_back_equal(self, tmp_path):
+        cfg = gt.ScenarioConfig(d=6, K=9, n_users=4, regime="bursty", seed=13)
+        data = gt.generate_scenario(cfg, programs_per_day=5)
+        gt.write_events(data.events, tmp_path / "events.csv")
+        assert_same_log(gt.read_events(tmp_path / "events.csv"), data.events)
 
     def test_round_trip_recovers_profiles(self):
         # rebuild profiles from the generated event log and compare direction

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,18 @@ class TestBuildModel:
             gt.build_model(d=1, r=0.0)
         with pytest.raises(ValueError):
             gt.build_model(d=1, q_structure="banded")
+
+    @pytest.mark.parametrize("name", ["T", "alpha", "q", "r"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            gt.build_model(d=2, **{name: value})
+
+    def test_overflowing_process_noise_named(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"process noise overflows: q=0.001 and T=1e\+100"):
+                gt.build_model(d=2, T=1e100)
 
 
 class TestInitFilter:
@@ -368,6 +381,24 @@ class TestTrackUsers:
 
     def test_no_series(self):
         assert gt.track_users(gt.build_model(d=2), []) == []
+
+    @pytest.mark.parametrize(
+        "alpha, p0, step", [(1e100, 10.0, 2), (1.0, 1e308, 1), (1.0, 1e300, 1)]
+    )
+    def test_overflowing_covariance_named_without_warnings(self, alpha, p0, step):
+        series = gt.ProfileSeries("u", np.arange(5, dtype=float), np.ones((5, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would fail the test
+            with pytest.raises(gt.DivergenceError, match=f"not finite at step {step}$"):
+                gt.track_users(gt.build_model(d=2, alpha=alpha), [series], p0=p0)
+
+    def test_huge_but_finite_innovation_accepted(self):
+        # r near the float ceiling: COND_LIMIT * S would overflow, the ratio does not
+        series = gt.ProfileSeries("u", np.arange(4, dtype=float), np.ones((4, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (record,) = gt.track_users(gt.build_model(d=2, r=1e300), [series])
+        assert np.all(np.isfinite(record.predicted))
 
 
 def thread_counts():
