@@ -8,7 +8,11 @@ Parameter precedence is defaults < config file < command-line flags; config
 files are plain ``key=value`` lines (``#`` starts a comment line).
 
 Commands validate all inputs and compute results in memory before creating or
-writing any output file, so a failing run leaves no partial artifacts.
+writing any output file, so a failing run leaves no partial artifacts.  Each
+command imports, when it runs, only the modules it uses: ``build-profiles``
+loads ``space``, ``ioutil`` and ``profiles``; ``track`` adds ``tracking``;
+``recommend`` adds ``tracking`` and ``recommender``; ``evaluate`` adds
+``tracking`` and ``evaluation``; only ``simulate`` loads ``synthetic``.
 Exit codes: 0 success, 2 usage or input validation error (a filter that
 diverges under the given model parameters included), 1 unexpected failure.
 Diagnostics are one line on stderr.
@@ -26,22 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .evaluation import evaluate_many, write_histogram, write_report, write_summary
-from .ioutil import csv_cells, fmt, safe_filename, write_table
-from .profiles import build_series, read_events, read_profiles, write_events, write_profiles
-from .recommender import concept_deltas, recommend, write_recommendations
-from .space import read_vocabulary, write_vocabulary
-from .synthetic import DAY_SECONDS, ScenarioConfig, generate_scenario
-from .tracking import (
-    DivergenceError,
-    SingularInnovationError,
-    build_model,
-    read_final_states,
-    read_track_record,
-    track_users,
-    write_final_states,
-    write_track_record,
-)
+from .ioutil import DAY_SECONDS, csv_cells, fmt, safe_filename, write_table
 
 __all__ = ["main"]
 
@@ -280,6 +269,9 @@ Writer = Callable[[Path], None]
 
 
 def cmd_simulate(effective: dict) -> Writer:
+    from .profiles import write_events, write_profiles
+    from .space import write_vocabulary
+    from .synthetic import ScenarioConfig, generate_scenario
     config = ScenarioConfig(
         d=effective["d"],
         K=effective["k"],
@@ -306,6 +298,8 @@ def cmd_simulate(effective: dict) -> Writer:
 
 
 def cmd_build_profiles(effective: dict) -> Writer:
+    from .profiles import build_series, read_events, write_profiles
+    from .space import read_vocabulary
     space = read_vocabulary(effective["vocabulary"])
     events = read_events(effective["events"])
     if not events:
@@ -324,6 +318,9 @@ def cmd_build_profiles(effective: dict) -> Writer:
 
 
 def cmd_track(effective: dict) -> Writer:
+    from .profiles import read_profiles
+    from .space import read_vocabulary
+    from .tracking import build_model, track_users, write_final_states, write_track_record
     space = read_vocabulary(effective["vocabulary"])
     series_by_user = read_profiles(effective["profiles"], space)
     if not series_by_user:
@@ -364,6 +361,10 @@ def cmd_track(effective: dict) -> Writer:
 
 
 def cmd_recommend(effective: dict) -> Writer:
+    from .profiles import read_events, read_profiles
+    from .recommender import concept_deltas, recommend, write_recommendations
+    from .space import read_vocabulary
+    from .tracking import read_final_states
     space = read_vocabulary(effective["vocabulary"])
     states = read_final_states(effective["final_states"], space)
     if not states:
@@ -403,6 +404,10 @@ def cmd_recommend(effective: dict) -> Writer:
 
 
 def cmd_evaluate(effective: dict) -> Writer:
+    from .evaluation import evaluate_many, write_histogram, write_report, write_summary
+    from .profiles import read_profiles
+    from .space import read_vocabulary
+    from .tracking import read_track_record
     space = read_vocabulary(effective["vocabulary"])
     observations = read_profiles(effective["profiles"], space)
     tracks_dir = Path(effective["tracks"])
@@ -454,17 +459,20 @@ def main(argv: list[str] | None = None) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         write_outputs(outdir)
         _write_manifest(outdir, command, effective, sources)
-    except (
-        CliError, ValueError, KeyError, OSError, DivergenceError, SingularInnovationError
-    ) as exc:
-        # str() of a KeyError is the repr of its message; an OSError's names the path.  Under
-        # track_users a filter that diverges depends only on the model and p0, which are inputs.
+    except Exception as exc:
+        input_errors: tuple = (CliError, ValueError, KeyError, OSError)
+        # Under track_users a filter that diverges depends only on the model and p0, which are
+        # inputs.  Only a command that loaded tracking can raise its errors.
+        tracking = sys.modules.get("genretrack.tracking")
+        if tracking:
+            input_errors += (tracking.DivergenceError, tracking.SingularInnovationError)
+        if not isinstance(exc, input_errors):
+            print(f"genretrack {command}: unexpected error: {exc}", file=sys.stderr)
+            return 1
+        # str() of a KeyError is the repr of its message; an OSError's names the path.
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"genretrack {command}: error: {message}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive catch-all
-        print(f"genretrack {command}: unexpected error: {exc}", file=sys.stderr)
-        return 1
     return 0
 
 

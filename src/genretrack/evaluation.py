@@ -139,9 +139,7 @@ def evaluate(
         raise ValueError(f"threshold tau must be > 0, got {tau}")
     pred = np.asarray(predictions, dtype=float)
     if pred.ndim != 2 or pred.shape[1] != observations.d:
-        raise ValueError(
-            f"predictions must be (n, {observations.d}), got {pred.shape}"
-        )
+        raise ValueError(f"predictions must be (n, {observations.d}), got {pred.shape}")
     if not np.all(np.isfinite(pred)):
         raise ValueError("predictions contain non-finite values")
     if steps is None:
@@ -210,13 +208,7 @@ def evaluate_record(
     tau: float = DEFAULT_TAU,
 ) -> EvalReport:
     """Score a track record against the series it tracked."""
-    return evaluate(
-        observations,
-        record.predicted,
-        tau=tau,
-        steps=record.steps,
-        user_id=record.user_id,
-    )
+    return evaluate(observations, record.predicted, tau, record.steps, record.user_id)
 
 
 def evaluate_many(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +24,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .ioutil import csv_cells, parse_timestamp, write_table
+from .ioutil import csv_cells, parse_timestamp, read_table, write_table
 from .space import ConceptSpace, UnknownGenreError
 
 __all__ = [
@@ -39,13 +40,26 @@ __all__ = [
 ]
 
 
+# C0 and C1 controls and the Unicode line and paragraph separators: in a user id they
+# would split or hide a line of summary.txt and of any text view of the CSV tables.
+_UNWRITABLE_ID = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]")
+
+
+def _check_user_id(user_id: str) -> None:
+    if not user_id:
+        raise ValueError("event user_id must be non-empty")
+    if _UNWRITABLE_ID.search(user_id):
+        raise ValueError(f"user id {user_id!r} holds a control character or line separator")
+
+
 @dataclass(frozen=True)
 class WatchEvent:
     """One viewing record: who watched what kind of program, and how much of it.
 
     ``watched_fraction`` is the fraction of the program duration actually
     viewed, in [0, 1].  ``genres`` is the non-empty set of genre labels the
-    program is tagged with.
+    program is tagged with.  ``user_id`` may hold no control character and no
+    line or paragraph separator.
     """
 
     user_id: str
@@ -55,16 +69,13 @@ class WatchEvent:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "genres", frozenset(self.genres))
-        if not self.user_id:
-            raise ValueError("event user_id must be non-empty")
+        _check_user_id(self.user_id)
         if not self.genres:
             raise ValueError(f"event for {self.user_id!r} has no genres")
         if not np.isfinite(self.timestamp):
             raise ValueError(f"event for {self.user_id!r} has non-finite timestamp")
         if not 0.0 <= self.watched_fraction <= 1.0:
-            raise ValueError(
-                f"watched_fraction must be in [0, 1], got {self.watched_fraction!r}"
-            )
+            raise ValueError(f"watched_fraction must be in [0, 1], got {self.watched_fraction!r}")
 
 
 def _sort_table(table: Iterable, codes) -> tuple[tuple, np.ndarray]:
@@ -306,8 +317,8 @@ def _labels(raw_genres: str) -> tuple[str, ...]:
 def read_events(path: str | Path) -> EventLog:
     """Read a watch-event log, row by row, straight into columns.
 
-    Each row is checked as it is read; a faulty one raises ``ValueError``
-    naming ``path:line`` and the cause.
+    Each row is checked as it is read, and each distinct user id once, at its
+    first row; a faulty one raises ``ValueError`` naming ``path:line`` and the cause.
     """
     users: dict[str, int] = {}
     sets: dict[tuple[str, ...], int] = {}
@@ -320,9 +331,7 @@ def read_events(path: str | Path) -> EventLog:
         if header is None:
             raise ValueError(f"event log {path} is empty")
         if [h.strip() for h in header] != _EVENT_HEADER:
-            raise ValueError(
-                f"event log {path} has header {header!r}, expected {_EVENT_HEADER!r}"
-            )
+            raise ValueError(f"event log {path} has header {header!r}, expected {_EVENT_HEADER!r}")
         for row in reader:
             if not row:
                 continue
@@ -334,14 +343,18 @@ def read_events(path: str | Path) -> EventLog:
                 labels = _labels(raw_genres)
                 code = sets.setdefault(labels, len(sets)) if labels else -1
                 set_of_text[raw_genres] = code
+            user_code = users.get(user_id)
             try:
                 timestamp = parse_timestamp(raw_ts)
                 fraction = float(raw_fraction)
-                if not (user_id and code >= 0 and math.isfinite(timestamp) and 0 <= fraction <= 1):
+                if user_code is None:
+                    _check_user_id(user_id)
+                    user_code = users[user_id] = len(users)
+                if not (code >= 0 and math.isfinite(timestamp) and 0 <= fraction <= 1):
                     WatchEvent(user_id, timestamp, frozenset(_labels(raw_genres)), fraction)
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-            user.append(users.setdefault(user_id, len(users)))
+            user.append(user_code)
             timestamps.append(timestamp)
             genre_set.append(code)
             fractions.append(fraction)
@@ -387,34 +400,13 @@ def write_profiles(
 
 
 def read_profiles(path: str | Path, space: ConceptSpace) -> dict[str, ProfileSeries]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"profile table {path} is empty")
-        expected = ["user_id", "instant", *space.names]
-        if header != expected:
-            raise ValueError(
-                f"profile table {path} columns do not match the vocabulary: "
-                f"got {header[:4]}..., expected {expected[:4]}..."
-            )
-        instants: dict[str, list[float]] = {}
-        rows: dict[str, list[list[float]]] = {}
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 2 + space.d:
-                raise ValueError(
-                    f"{path}:{reader.line_num}: expected {2 + space.d} fields, got {len(row)}"
-                )
-            user_id = row[0]
-            try:
-                values = [float(x) for x in row[1:]]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-            instants.setdefault(user_id, []).append(values[0])
-            rows.setdefault(user_id, []).append(values[1:])
+    """Each user's series, keyed and ordered by user id; a user's rows stay in file order."""
+    header = ["user_id", "instant", *space.names]
+    users, table = read_table(path, header, "profile table", labeled=True)
+    rows: dict[str, list[int]] = {}
+    for i, user_id in enumerate(users):
+        rows.setdefault(user_id, []).append(i)
     return {
-        user_id: ProfileSeries(user_id, np.array(instants[user_id]), np.array(rows[user_id]))
+        user_id: ProfileSeries(user_id, table[rows[user_id], 0], table[rows[user_id], 1:])
         for user_id in sorted(rows)
     }

@@ -13,7 +13,7 @@ genre decision to concrete programs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -143,13 +143,7 @@ def recommend(
     promoted = tuple(space.names[cd.axis] for cd in positives if cd.axis not in watched_axes)
     excluded = tuple(space.names[cd.axis] for cd in positives if cd.axis in watched_axes)
     demoted = tuple(space.names[cd.axis] for cd in negatives)
-    return Recommendation(
-        user_id=user_id,
-        promoted=promoted,
-        demoted=demoted,
-        excluded_watched=excluded,
-        date=date,
-    )
+    return Recommendation(user_id, promoted, demoted, excluded_watched=excluded, date=date)
 
 
 def filter_catalog(
@@ -173,21 +167,11 @@ def filter_catalog(
     return kept
 
 
-def _to_record(rec: Recommendation) -> dict:
-    return {
-        "user_id": rec.user_id,
-        "date": rec.date,
-        "promoted": list(rec.promoted),
-        "demoted": list(rec.demoted),
-        "excluded_watched": list(rec.excluded_watched),
-    }
-
-
 def write_recommendations(recs: Iterable[Recommendation], path: str | Path) -> None:
     """One JSON object per line, keys sorted, deterministic bytes."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for rec in recs:
-            fh.write(json.dumps(_to_record(rec), sort_keys=True))
+            fh.write(json.dumps(asdict(rec), sort_keys=True))
             fh.write("\n")
 
 
@@ -200,15 +184,8 @@ def read_recommendations(path: str | Path) -> list[Recommendation]:
                 continue
             try:
                 obj = json.loads(line)
-                recs.append(
-                    Recommendation(
-                        user_id=obj["user_id"],
-                        promoted=tuple(obj["promoted"]),
-                        demoted=tuple(obj["demoted"]),
-                        excluded_watched=tuple(obj["excluded_watched"]),
-                        date=obj.get("date", ""),
-                    )
-                )
+                lists = (tuple(obj[key]) for key in ("promoted", "demoted", "excluded_watched"))
+                recs.append(Recommendation(obj["user_id"], *lists, date=obj.get("date", "")))
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}:{line_no}: bad recommendation record: {exc}") from exc
     return recs

@@ -31,6 +31,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .ioutil import DAY_SECONDS
 from .profiles import EventLog, ProfileSeries
 from .space import ConceptSpace, new_space
 from .tracking import _transition_block
@@ -49,7 +50,6 @@ __all__ = [
     "generate_scenario",
 ]
 
-DAY_SECONDS = 86400
 REGIMES = ("smooth_drift", "regime_change", "bursty")
 
 # Scale of the initial velocity/acceleration draw relative to sqrt(q_true).
@@ -263,10 +263,4 @@ def generate_scenario(config: ScenarioConfig, programs_per_day: int = 3) -> Scen
     events = generate_events(
         {u.user_id: u.observed for u in users}, space, programs_per_day, config.seed
     )
-    return ScenarioData(
-        config=config,
-        space=space,
-        users=users,
-        events=events,
-        programs_per_day=programs_per_day,
-    )
+    return ScenarioData(config, space, users, events, programs_per_day)

@@ -29,7 +29,6 @@ division.  No explicit matrix inverse is formed anywhere.
 
 from __future__ import annotations
 
-import csv
 import ctypes
 import functools
 import importlib.util
@@ -41,7 +40,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .ioutil import csv_cells, write_table
+from .ioutil import csv_cells, read_table, write_table
 from .profiles import ProfileSeries
 from .space import ConceptSpace
 
@@ -68,7 +67,8 @@ __all__ = [
 
 # Condition-number ceiling for the innovation covariance solve.
 COND_LIMIT = 1e12
-# Most negative covariance eigenvalue tolerated before declaring divergence.
+# Most negative covariance eigenvalue tolerated before declaring divergence, per unit of
+# the covariance's scale (see _psd_tolerance).
 PSD_TOL = 1e-9
 
 DEFAULT_P0 = 10.0
@@ -156,13 +156,7 @@ def _single_blas_thread() -> Iterator[None]:
 
 
 def _transition_block(T: float, alpha: float) -> np.ndarray:
-    return np.array(
-        [
-            [alpha, T, 0.5 * T * T],
-            [0.0, alpha, T],
-            [0.0, 0.0, alpha],
-        ]
-    )
+    return np.array([[alpha, T, 0.5 * T * T], [0.0, alpha, T], [0.0, 0.0, alpha]])
 
 
 def _white_accel_block(T: float) -> np.ndarray:
@@ -205,7 +199,9 @@ class TrackingModel:
         if not np.allclose(R, R.T, atol=1e-12):
             raise ValueError("R must be symmetric")
         with _single_blas_thread():
-            if np.linalg.eigvalsh(Q).min() < -1e-12:
+            eigenvalues = np.linalg.eigvalsh(Q)
+            # Rounding scales with the largest eigenvalue, so the tolerance does too.
+            if eigenvalues.min() < -1e-12 * max(1.0, np.abs(eigenvalues).max()):
                 raise ValueError("Q must be positive semidefinite")
             if np.linalg.eigvalsh(R).min() <= 0.0:
                 raise ValueError("R must be positive definite")
@@ -316,17 +312,34 @@ def init_filter(model: TrackingModel, z0: np.ndarray, p0: float = DEFAULT_P0) ->
     return FilterState(x_hat=x0, P=p0 * np.eye(3 * model.d), k=0)
 
 
-def _check_conditioning(eigenvalues: np.ndarray) -> None:
-    """Reject an innovation covariance with these eigenvalues as ill-conditioned."""
+def _check_conditioning(eigenvalues: np.ndarray, step: int | None) -> None:
+    """Reject an innovation covariance with these eigenvalues, consumed at ``step``, if unusable."""
     lowest, highest = np.min(eigenvalues), np.max(eigenvalues)
-    if lowest <= 0.0 or highest / COND_LIMIT > lowest:  # a division cannot overflow
+    where = "" if step is None else f" at step {step}"
+    if lowest <= 0.0:
         raise SingularInnovationError(
-            f"innovation covariance ill-conditioned: eigenvalue range [{lowest:.3e}, {highest:.3e}]"
+            f"innovation covariance ill-conditioned{where}: eigenvalue {lowest:.3e} is not positive"
+        )
+    if highest / COND_LIMIT > lowest:  # a division cannot overflow
+        raise SingularInnovationError(
+            f"innovation covariance ill-conditioned{where}: "
+            f"eigenvalue range [{lowest:.3e}, {highest:.3e}]"
         )
 
 
-def _gain_and_cross(model: TrackingModel, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return (K, A P H') for prediction covariance P."""
+def _psd_tolerance(diagonal: np.ndarray) -> float:
+    """PSD_TOL times the covariance's scale: its largest diagonal entry, and at least 1.
+
+    Rounding error grows with the largest eigenvalue, which for a PSD matrix lies
+    between the largest diagonal entry and n times it; the diagonal costs O(n).
+    """
+    return PSD_TOL * max(1.0, float(np.max(np.abs(diagonal))))
+
+
+def _gain_and_cross(
+    model: TrackingModel, P: np.ndarray, step: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Return (K, A P H') for prediction covariance P, which ``step`` consumes."""
     # Loaded here, not at module load: only the dense filter needs it.
     import scipy.linalg
 
@@ -334,7 +347,7 @@ def _gain_and_cross(model: TrackingModel, P: np.ndarray) -> tuple[np.ndarray, np
     APHt = AP @ model.H.T
     S = model.H @ (P @ model.H.T) + model.R
     S = 0.5 * (S + S.T)
-    _check_conditioning(np.linalg.eigvalsh(S))
+    _check_conditioning(np.linalg.eigvalsh(S), step)
     factor = scipy.linalg.cho_factor(S, lower=True)
     K = scipy.linalg.cho_solve(factor, APHt.T).T
     return K, APHt
@@ -361,7 +374,7 @@ def predict_step(model: TrackingModel, state: FilterState, z: np.ndarray) -> Fil
     Returns the next one-step-ahead state; the consumed innovation and the
     gain that weighted it are recorded on the returned state.  Raises
     :class:`DivergenceError` if the updated covariance has an eigenvalue
-    below ``-PSD_TOL``.
+    below ``-PSD_TOL`` times its scale (see ``_psd_tolerance``).
     """
     if state.d != model.d:
         raise ValueError(f"state dimension {state.d} does not match model d={model.d}")
@@ -372,25 +385,17 @@ def predict_step(model: TrackingModel, state: FilterState, z: np.ndarray) -> Fil
         raise ValueError("observation contains non-finite values")
 
     P = state.P
-    K, APHt = _gain_and_cross(model, P)
+    K, APHt = _gain_and_cross(model, P, state.k)
     innovation = z - model.H @ state.x_hat
     x_next = model.A @ state.x_hat + K @ innovation
     P_next = (model.A @ P) @ model.A.T - K @ APHt.T + model.Q
     P_next = 0.5 * (P_next + P_next.T)
     # Cholesky of P + tol*I succeeds exactly when min eig > -tol.
     try:
-        np.linalg.cholesky(P_next + PSD_TOL * np.eye(P_next.shape[0]))
+        np.linalg.cholesky(P_next + _psd_tolerance(np.diag(P_next)) * np.eye(P_next.shape[0]))
     except np.linalg.LinAlgError:
-        raise DivergenceError(
-            f"prediction covariance lost PSD at step {state.k + 1}"
-        ) from None
-    return FilterState(
-        x_hat=x_next,
-        P=P_next,
-        k=state.k + 1,
-        last_innovation=innovation,
-        last_gain=K,
-    )
+        raise DivergenceError(f"prediction covariance lost PSD at step {state.k + 1}") from None
+    return FilterState(x_next, P_next, state.k + 1, last_innovation=innovation, last_gain=K)
 
 
 def covariance_step(model: TrackingModel, P: np.ndarray) -> np.ndarray:
@@ -468,36 +473,24 @@ def track_series(
     """
     Z = observations.profiles
     if observations.d != model.d:
-        raise ValueError(
-            f"series dimension {observations.d} does not match model d={model.d}"
-        )
+        raise ValueError(f"series dimension {observations.d} does not match model d={model.d}")
     n_obs = observations.n_instants
     if n_obs < 2:
         raise ValueError(f"tracking needs at least 2 observations, got {n_obs}")
 
-    state = init_filter(model, Z[0], p0)
-    steps: list[int] = []
-    predicted: list[np.ndarray] = []
-    innovations: list[np.ndarray] = []
-    gain_norms: list[float] = []
-    p_traces: list[float] = []
-    for k in range(n_obs):
-        previous = state
-        state = predict_step(model, state, Z[k])
-        if k >= 1:
-            steps.append(k)
-            predicted.append(previous.position())
-            innovations.append(state.last_innovation)
-            gain_norms.append(float(np.linalg.norm(state.last_gain)))
-            p_traces.append(float(np.trace(previous.P)))
+    states = [init_filter(model, Z[0], p0)]
+    for z in Z:
+        states.append(predict_step(model, states[-1], z))
+    # states[k] is X(k | k-1) and states[k + 1] consumed z_k; step 0 is not recorded.
+    before, after = states[1:-1], states[2:]
     return TrackRecord(
         user_id=observations.user_id,
-        steps=np.array(steps, dtype=int),
-        predicted=np.vstack(predicted),
-        innovations=np.vstack(innovations),
-        gain_norms=np.array(gain_norms),
-        p_traces=np.array(p_traces),
-        final_state=state,
+        steps=np.arange(1, n_obs),
+        predicted=np.array([state.position() for state in before]),
+        innovations=np.array([state.last_innovation for state in after]),
+        gain_norms=np.array([np.linalg.norm(state.last_gain) for state in after]),
+        p_traces=np.array([np.trace(state.P) for state in before]),
+        final_state=states[-1],
     )
 
 
@@ -563,7 +556,7 @@ def track_users(
     innovations = np.empty_like(predicted)
     for k in range(n_max):
         S = P[:, 0, 0] + r_diag  # diagonal: its entries are its eigenvalues
-        _check_conditioning(S)
+        _check_conditioning(S, k)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
             AP = A3 @ P                        # (d, 3, 3)
             cross = AP[:, :, 0]                # A P e1 per axis
@@ -578,7 +571,7 @@ def track_users(
             predicted[:m, k - 1] = X[:m, :, 0]
             innovations[:m, k - 1] = nu
         X[:m] = X[:m] @ A3.T + K * nu[:, :, None]
-        if np.linalg.eigvalsh(P).min() < -PSD_TOL:
+        if np.linalg.eigvalsh(P).min() < -_psd_tolerance(P[:, (0, 1, 2), (0, 1, 2)]):
             raise DivergenceError(f"prediction covariance lost PSD at step {k + 1}")
         covariances.append(P)
         gains.append(K)
@@ -673,53 +666,20 @@ def write_final_states(
 
 def read_final_states(path: str | Path, space: ConceptSpace) -> dict[str, np.ndarray]:
     """Final state vectors keyed by user id; covariances are not persisted."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _final_state_header(space):
-            raise ValueError(f"final-state file {path} does not match the vocabulary")
-        states: dict[str, np.ndarray] = {}
-        for row in reader:
-            if not row:
-                continue
-            user_id = row[0]
-            if user_id in states:
-                raise ValueError(f"duplicate final state for user {user_id!r}")
-            try:
-                vec = np.array([float(x) for x in row[1:]])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-            if vec.size != 3 * space.d:
-                raise ValueError(
-                    f"final-state row for {user_id!r} has {vec.size} values, "
-                    f"expected {3 * space.d}"
-                )
-            states[user_id] = vec
+    users, table = read_table(path, _final_state_header(space), "final-state file", labeled=True)
+    states: dict[str, np.ndarray] = {}
+    for user_id, vec in zip(users, table):
+        if user_id in states:
+            raise ValueError(f"duplicate final state for user {user_id!r}")
+        states[user_id] = vec
     return states
 
 
 def read_track_record(path: str | Path, space: ConceptSpace, user_id: str = "") -> TrackRecord:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _track_header(space):
-            raise ValueError(f"track record {path} does not match the vocabulary")
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                rows.append([float(x) for x in row])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-    if not rows:
+    _, data = read_table(path, _track_header(space), "track record")
+    if not len(data):
         raise ValueError(f"track record {path} has no steps")
     d = space.d
-    data = np.array(rows)
     return TrackRecord(
         user_id=user_id,
         steps=data[:, 0].astype(int),

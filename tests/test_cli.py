@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import genretrack as gt
+from genretrack import cli
 from genretrack.cli import main
 
 
@@ -267,6 +268,51 @@ class TestErrors:
         assert f"genretrack track: error: {cause}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "flags, cause",
+        [
+            # rounding at these scales once read as "Q must be positive semidefinite" and
+            # "prediction covariance lost PSD at step 2"
+            (["--q", "1e300"], "prediction covariance is not finite at step 2"),
+            (["--alpha", "1e50"], "innovation covariance ill-conditioned at step 2: eigenvalue"),
+            (["--alpha", "0.5", "--q", "0", "--r", "1e-300", "--p0", "1"],
+             "innovation covariance ill-conditioned at step 3: eigenvalue -4.441e-16 is not positive"),
+        ],
+        ids=["huge_q", "huge_alpha", "non_positive_innovation"],
+    )
+    def test_large_model_fails_with_its_real_cause(self, pipeline, tmp_path, capsys, flags, cause):
+        code = run([
+            "track", "--vocabulary", str(pipeline["sim"] / "vocabulary.txt"),
+            "--profiles", str(pipeline["sim"] / "profiles.csv"), *flags, "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert f"genretrack track: error: {cause}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flags", [["--q", "1e100"], ["--q", "1e100", "--r", "1e100"], ["--q", "1e150"]])
+    def test_large_valid_model_tracks(self, pipeline, tmp_path, flags):
+        code = run([
+            "track", "--vocabulary", str(pipeline["sim"] / "vocabulary.txt"),
+            "--profiles", str(pipeline["sim"] / "profiles.csv"), *flags, "--out", str(tmp_path / "o"),
+        ])
+        assert code == 0
+
+    def test_unwritable_user_id_never_reaches_a_table(self, tmp_path, capsys):
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("a\n", encoding="utf-8")
+        events = tmp_path / "events.csv"
+        # numpy's U dtype would read "u\x00" back as "u", merging two users
+        events.write_text("user_id,timestamp,genres,watched_fraction\nu,150,a,1\nu\x00,150,a,1\n", encoding="utf-8")
+        instants = tmp_path / "instants.txt"
+        instants.write_text("100\n200\n", encoding="utf-8")
+        code = run([
+            "build-profiles", "--vocabulary", str(vocab), "--events", str(events),
+            "--instants", str(instants), "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert f"{events}:3: user id 'u\\x00' holds a control character" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_empty_event_log(self, tmp_path, capsys):
         vocab = tmp_path / "vocab.txt"
         vocab.write_text("a\n", encoding="utf-8")
@@ -418,6 +464,102 @@ class TestRecommendDates:
             ]
         )
         assert code == 2
+
+
+def loaded_modules(code: str) -> list[str]:
+    """Run ``code`` in a fresh interpreter; the genretrack modules loaded when it ends."""
+    src = str(Path(gt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = f"{code}\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('genretrack'))))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def command_modules(argv: list[str]) -> list[str]:
+    """The genretrack modules a CLI command loads, run in a fresh interpreter."""
+    return loaded_modules(f"from genretrack.cli import main\nassert main({argv!r}) == 0")
+
+
+class TestLazyLoading:
+    def test_import_loads_no_module(self):
+        assert loaded_modules("import genretrack") == ["genretrack"]
+
+    def test_all_is_every_module_all_and_star_import_binds_it(self):
+        code = (
+            "import genretrack, importlib\n"
+            "names = set(genretrack.__all__)\n"
+            "modules = [importlib.import_module('genretrack.' + m) for m in genretrack._MODULES]\n"
+            "assert names == {'__version__'}.union(*(m.__all__ for m in modules)), names\n"
+            "namespace = {}\n"
+            "exec('from genretrack import *', namespace)\n"
+            "assert names <= set(namespace) and names <= set(dir(genretrack))\n"
+            "assert all(namespace[n] is getattr(m, n) for m in modules for n in m.__all__)"
+        )
+        assert "genretrack.synthetic" in loaded_modules(code)
+
+    def test_a_name_loads_only_the_modules_searched_for_it(self):
+        loaded = loaded_modules("import genretrack\ngenretrack.WatchEvent")
+        assert loaded == ["genretrack", "genretrack.ioutil", "genretrack.profiles", "genretrack.space"]
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            gt.no_such_name
+
+    def test_build_profiles_loads_neither_tracking_nor_later_stages(self, pipeline, tmp_path):
+        sim = pipeline["sim"]
+        loaded = command_modules([
+            "build-profiles", "--vocabulary", str(sim / "vocabulary.txt"),
+            "--events", str(sim / "events.csv"), "--instants", str(sim / "instants.txt"),
+            "--out", str(tmp_path / "o"),
+        ])
+        assert loaded == [
+            "genretrack", "genretrack.cli", "genretrack.ioutil", "genretrack.profiles", "genretrack.space"
+        ]
+
+    def test_recommend_loads_neither_synthetic_nor_evaluation(self, pipeline, tmp_path):
+        sim, built, tracked = pipeline["sim"], pipeline["built"], pipeline["tracked"]
+        loaded = command_modules([
+            "recommend", "--vocabulary", str(sim / "vocabulary.txt"),
+            "--final-states", str(tracked / "final_states.csv"),
+            "--profiles", str(built / "built_profiles.csv"), "--events", str(sim / "events.csv"),
+            "--out", str(tmp_path / "o"),
+        ])
+        assert "genretrack.recommender" in loaded
+        assert not {"genretrack.synthetic", "genretrack.evaluation"} & set(loaded)
+
+    def test_evaluate_loads_neither_recommender_nor_synthetic(self, pipeline, tmp_path):
+        sim, built, tracked = pipeline["sim"], pipeline["built"], pipeline["tracked"]
+        loaded = command_modules([
+            "evaluate", "--vocabulary", str(sim / "vocabulary.txt"),
+            "--profiles", str(built / "built_profiles.csv"), "--tracks", str(tracked / "tracks"),
+            "--out", str(tmp_path / "o"),
+        ])
+        assert "genretrack.evaluation" in loaded
+        assert not {"genretrack.recommender", "genretrack.synthetic"} & set(loaded)
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (gt.DivergenceError("diverged"), 2),
+            (gt.SingularInnovationError("singular"), 2),
+            (ValueError("bad"), 2),
+            (RuntimeError("boom"), 1),
+            (ZeroDivisionError("boom"), 1),
+        ],
+    )
+    def test_exit_code_by_error(self, pipeline, tmp_path, monkeypatch, capsys, error, code):
+        def fail(effective):
+            raise error
+
+        monkeypatch.setitem(cli._HANDLERS, "evaluate", fail)
+        argv = ["evaluate", "--vocabulary", "v", "--profiles", "p", "--tracks", "t", "--out", str(tmp_path / "o")]
+        assert run(argv) == code
+        prefix = "error" if code == 2 else "unexpected error"
+        assert capsys.readouterr().err == f"genretrack evaluate: {prefix}: {error}\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestImports:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import genretrack as gt
+from genretrack import profiles
 from properties import check_fold_matches_reference, check_order_insensitivity, run_many
 
 
@@ -31,6 +32,17 @@ class TestWatchEvent:
     def test_empty_user_rejected(self):
         with pytest.raises(ValueError):
             gt.WatchEvent("", 0.0, frozenset({"Drama"}), 0.5)
+
+    @pytest.mark.parametrize(
+        "user_id", ["a\x00", "\x00", "a\nb", "a\rb", "\tu", "u\x1f", "u\x7f", "u\x85", "u\x9f", "a\u2028b", "a\u2029"]
+    )
+    def test_unwritable_user_id_rejected(self, user_id):
+        with pytest.raises(ValueError, match=re.escape(f"user id {user_id!r} holds a control character")):
+            gt.WatchEvent(user_id, 0.0, frozenset({"Drama"}), 0.5)
+
+    @pytest.mark.parametrize("user_id", ["x=y", "a,b", 'say "hi"', " edge ", "é", "u\xa0v", "\u2027"])
+    def test_awkward_but_writable_user_id_accepted(self, user_id):
+        assert gt.WatchEvent(user_id, 0.0, frozenset({"Drama"}), 0.5).user_id == user_id
 
 
 class TestInterestUpdate:
@@ -313,11 +325,29 @@ class TestEventIO:
     def test_line_counts_newlines_inside_quoted_cells(self, tmp_path):
         path = tmp_path / "events.csv"
         path.write_text(
-            'user_id,timestamp,genres,watched_fraction\n"two\nlines",1,Drama,1\nu2,2,Drama,oops\n',
+            'user_id,timestamp,genres,watched_fraction\nu1,1,"Drama;\nSports",1\nu2,2,Drama,oops\n',
             encoding="utf-8",
         )
         with pytest.raises(ValueError, match=re.escape(f"{path}:4: could not convert")):
             gt.read_events(path)
+
+    @pytest.mark.parametrize("user_id", ["a\x00", "a\u2028b", "two\nlines"])
+    def test_unwritable_user_id_names_its_first_row(self, tmp_path, user_id):
+        path = tmp_path / "events.csv"
+        rows = ["u1,0,Drama,1", f'"{user_id}",1,Drama,1', f'"{user_id}",2,Drama,1', "u1,3,Drama,1"]
+        path.write_text("user_id,timestamp,genres,watched_fraction\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        line = 3 + user_id.count("\n")  # the first row holding the id ends on this line
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: user id {user_id!r} holds")):
+            gt.read_events(path)
+
+    def test_user_id_checked_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "events.csv"
+        rows = [f"u{i % 3},{i},Drama,1" for i in range(30)]
+        path.write_text("user_id,timestamp,genres,watched_fraction\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        checked = []
+        monkeypatch.setattr(profiles, "_check_user_id", checked.append)
+        assert len(gt.read_events(path)) == 30
+        assert checked == ["u0", "u1", "u2"]
 
     def test_bad_row_reports_line(self, tmp_path):
         path = tmp_path / "events.csv"
@@ -351,6 +381,27 @@ class TestProfileIO:
         path.write_text("user_id,instant,Drama,Entertainment,Sports\nu,1,0,0,0\nu,2,0,oops,0\n", encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: could not convert string to float: 'oops'")):
             gt.read_profiles(path, space)
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0663"])
+    def test_cell_only_float_reads_is_refused(self, tmp_path, space, cell):
+        # float() accepts underscores and non-ASCII digits; numpy's C parser does not
+        path = tmp_path / "profiles.csv"
+        path.write_text(f"user_id,instant,Drama,Entertainment,Sports\nu,1,0,0,0\nu,2,0,{cell},0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: could not convert string to float: {cell!r}")):
+            gt.read_profiles(path, space)
+
+    def test_rows_grouped_by_user_in_file_order(self, tmp_path, space):
+        path = tmp_path / "profiles.csv"
+        path.write_text(
+            "user_id,instant,Drama,Entertainment,Sports\n"
+            'v,1,1,2,3\n"a,b",5,0,0,1\nv,2,4,5,6\n\n"a,b",6,0,1,0\n',
+            encoding="utf-8",
+        )
+        back = gt.read_profiles(path, space)
+        assert list(back) == ["a,b", "v"]
+        assert back["v"].instants.tolist() == [1, 2]
+        assert back["v"].profiles.tolist() == [[1, 2, 3], [4, 5, 6]]
+        assert back["a,b"].profiles.tolist() == [[0, 0, 1], [0, 1, 0]]
 
     def test_vocabulary_mismatch_rejected(self, tmp_path, space):
         events = [gt.WatchEvent("u1", 1.0, frozenset({"Drama"}), 1.0)]

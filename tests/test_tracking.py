@@ -35,6 +35,18 @@ def transition_1d(T=1.0, alpha=1.0):
 
 
 class TestBuildModel:
+    def test_huge_q_is_positive_semidefinite(self):
+        # eigvalsh rounds at the 1e300 scale of Q; the check scales with it
+        model = gt.build_model(d=3, q=1e300)
+        assert np.all(np.isfinite(model.Q))
+
+    def test_indefinite_q_still_rejected_at_any_scale(self):
+        m = gt.build_model(d=1)
+        for scale in (1.0, 1e300):
+            Q = scale * np.diag([1.0, 1.0, -1e-6])
+            with pytest.raises(ValueError, match="Q must be positive semidefinite"):
+                gt.TrackingModel(d=1, T=1.0, alpha=1.0, Q=Q, R=m.R)
+
     def test_single_axis_matrices(self):
         m = gt.build_model(d=1, T=1.0, alpha=1.0, q=0.0, r=1.0)
         assert np.array_equal(m.A, transition_1d())
@@ -391,6 +403,31 @@ class TestTrackUsers:
             warnings.simplefilter("error")  # a RuntimeWarning would fail the test
             with pytest.raises(gt.DivergenceError, match=f"not finite at step {step}$"):
                 gt.track_users(gt.build_model(d=2, alpha=alpha), [series], p0=p0)
+
+    @pytest.mark.parametrize("engine, step", [("track_users", 3), ("track_series", 4)])
+    def test_non_positive_innovation_variance_named_with_its_step(self, engine, step):
+        # q=0 with an almost exact measurement: the position variance rounds to slightly below 0
+        series = gt.ProfileSeries("u", np.arange(6, dtype=float), np.full((6, 2), 0.5))
+        model = gt.build_model(2, alpha=0.5, q=0, r=1e-300)
+        run = {"track_users": lambda: gt.track_users(model, [series], p0=1),
+               "track_series": lambda: gt.track_series(model, series, p0=1)}[engine]
+        with pytest.raises(gt.SingularInnovationError, match=rf"ill-conditioned at step {step}: eigenvalue -\S+ is not positive$"):
+            run()
+
+    @pytest.mark.parametrize("kwargs", [dict(q=1e10), dict(q=1e100), dict(q=1e150), dict(r=1e100, q=1e100)])
+    @pytest.mark.parametrize("engine", ["track_users", "track_series"])
+    def test_large_valid_model_tracks(self, engine, kwargs):
+        # An absolute PSD tolerance took rounding at this scale for a lost PSD
+        series = gt.ProfileSeries("u", np.arange(6, dtype=float), np.random.default_rng(4).random((6, 3)))
+        model = gt.build_model(3, **kwargs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            record = gt.track_users(model, [series])[0] if engine == "track_users" else gt.track_series(model, series)
+        assert np.all(np.isfinite(record.predicted)) and np.all(np.isfinite(record.final_state.P))
+
+    def test_psd_tolerance_scales_with_the_covariance(self):
+        assert tracking._psd_tolerance(np.array([0.5, -0.25])) == tracking.PSD_TOL
+        assert tracking._psd_tolerance(np.array([2.0, -1e200, 3.0])) == tracking.PSD_TOL * 1e200
 
     def test_huge_but_finite_innovation_accepted(self):
         # r near the float ceiling: COND_LIMIT * S would overflow, the ratio does not
