@@ -1,7 +1,8 @@
 """Small shared helpers for deterministic text I/O and timestamp parsing.
 
 CSV tables are written whole rows at a time; ``%.17g`` prints what :func:`fmt` prints.
-Numeric tables are read back by :func:`read_table`, which numpy's C tokenizer parses.
+Tables are read back by numpy's C tokenizer (:func:`read_table` for the numeric ones; the
+event log in chunks streamed from the file); one ``csv`` pass then names a faulty row.
 """
 
 from __future__ import annotations
@@ -10,8 +11,9 @@ import csv
 import io
 import re
 from datetime import datetime, timezone
+from itertools import chain, filterfalse
 from pathlib import Path
-from typing import Iterable, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -21,6 +23,11 @@ __all__ = [
 ]
 
 DAY_SECONDS = 86400  # epoch seconds per UTC day
+# numpy allocates a chunk's rows up front: 16384 rows of the event log take 512 KiB, but
+# of a wide numeric table many MiB, so read_table parses its (smaller) tables whole.
+_CHUNK_ROWS = 16384
+_BLANK_LINES = frozenset({"\n", "\r\n", "\r"})  # the lines numpy skips as holding no row
+_LOADTXT = dict(delimiter=",", quotechar='"', comments=None)  # CSV as csv.writer writes it
 
 
 def fmt(x: float) -> str:
@@ -55,13 +62,14 @@ def read_table(
     """A CSV table's rows: (labels, values), the first column's exact text if ``labeled``.
 
     Blank lines are skipped.  ``csv`` checks the header and numpy's C tokenizer parses
-    the rest as floats, which are those ``float()`` gives; a faulty row raises
-    ``ValueError`` with ``path:line: <cause>``, found by one ``csv`` pass over the file.
+    the rest as floats, which are those ``float()`` gives.  Labels are user ids, each
+    distinct one checked once.  A faulty row raises ``ValueError`` with
+    ``path:line: <cause>``, found by one ``csv`` pass over the file.
     """
     header = list(header)
     with open(path, newline="", encoding="utf-8") as fh:
         got = next(csv.reader(fh), None)
-        body = fh.read()
+        body = fh.read()  # lines end at "\n" alone, so numpy refuses a row ended by a bare "\r"
     if got is None:
         raise ValueError(f"{what} {path} is empty")
     if got != header:
@@ -72,37 +80,76 @@ def read_table(
     n = len(header) - labeled
     if not body.strip("\r\n"):  # loadtxt warns on a table with no rows
         return [], np.empty((0, n))
-    dtype = np.dtype([("label", object), ("values", float, (n,))]) if labeled else float
+    dtype = np.dtype([("label", object)] * labeled + [("values", float, (n,))])
+
+    def check_row(row: list[str]) -> None:
+        if labeled:
+            _check_user_id(row[0])
+        for cell in row[labeled:]:
+            _parse_float(cell)
+
     try:
-        table = np.loadtxt(
-            io.StringIO(body), dtype, delimiter=",", quotechar='"', comments=None, ndmin=2
-        )
+        table = np.loadtxt(io.StringIO(body), dtype, ndmin=1, **_LOADTXT)
+        labels = table["label"].tolist() if labeled else []
+        for label in dict.fromkeys(labels):
+            _check_user_id(label)
     except ValueError as exc:
-        _raise_first_fault(path, len(header), labeled, str(exc))
-    if labeled:
-        return table["label"][:, 0].tolist(), np.ascontiguousarray(table["values"][:, 0])
-    if table.shape[1] != n:  # every row has the same wrong number of fields
-        _raise_first_fault(path, n, labeled, f"rows of {table.shape[1]} fields, expected {n}")
-    return [], table
+        _raise_first_fault(path, len(header), check_row, str(exc))
+    return labels, np.ascontiguousarray(table["values"])
 
 
-def _raise_first_fault(path: str | Path, n_fields: int, labeled: bool, error: str) -> NoReturn:
-    """Raise the first faulty row's ``path:line: <cause>``, else ``path: <error>``."""
+def _read_chunks(lines: Iterable[str], dtype: np.dtype) -> Iterator[np.ndarray]:
+    """The CSV rows of ``lines`` (an open file, say) as arrays of ``_CHUNK_ROWS`` rows or fewer.
+
+    numpy's C tokenizer parses each chunk straight from ``lines``, so the text of one
+    chunk at most is held at once.  Blank lines, even one in a quoted cell, are dropped
+    first: numpy warns of one under ``max_rows``.  A row numpy cannot parse raises its
+    ``ValueError``.
+    """
+    rows = filterfalse(_BLANK_LINES.__contains__, lines)
+    for line in rows:  # each chunk starts at the next line left
+        yield np.loadtxt(chain((line,), rows), dtype, max_rows=_CHUNK_ROWS, ndmin=1, **_LOADTXT)
+
+
+def _raise_first_fault(path: str | Path, n_fields: int, check: Callable, error: str) -> NoReturn:
+    """Raise the first faulty row's ``path:line: <cause>``, else ``path: <error>``.
+
+    One ``csv`` pass reads the rows after the header.  A row is faulty if it has not
+    ``n_fields`` cells or if ``check`` raises ``ValueError(cause)`` on it.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)
-        for row in filter(None, reader):  # skip blank lines
+        for row in filter(None, reader):
             where = f"{path}:{reader.line_num}"
             if len(row) != n_fields:
                 raise ValueError(f"{where}: expected {n_fields} fields, got {len(row)}")
-            for cell in row[labeled:]:
-                text = cell.strip()  # the C parser reads no underscore and no non-ASCII digit
-                try:
-                    float(text if text.isascii() and "_" not in text else "?")
-                except ValueError:
-                    cause = f"could not convert string to float: {cell!r}"
-                    raise ValueError(f"{where}: {cause}") from None
+            try:
+                check(row)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
     raise ValueError(f"{path}: {error}")
+
+
+def _parse_float(cell: str) -> float:
+    """``float(cell)``, refusing as numpy's C parser does an underscore or a non-ASCII digit."""
+    text = cell.strip()
+    try:
+        return float(text if text.isascii() and "_" not in text else "?")
+    except ValueError:
+        raise ValueError(f"could not convert string to float: {cell!r}") from None
+
+
+# C0 and C1 controls and the Unicode line and paragraph separators: in a user id they
+# would split or hide a line of summary.txt and of any text view of the CSV tables.
+_UNWRITABLE_ID = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]")
+
+
+def _check_user_id(user_id: str) -> None:
+    if not user_id:
+        raise ValueError("event user_id must be non-empty")
+    if _UNWRITABLE_ID.search(user_id):
+        raise ValueError(f"user id {user_id!r} holds a control character or line separator")
 
 
 def parse_timestamp(raw: str) -> float:

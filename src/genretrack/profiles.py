@@ -6,25 +6,26 @@ Snapshots of the running profile taken at a fixed grid of instants form the
 observation sequence that the tracker consumes.
 
 A log is held as an :class:`EventLog`: columns of user codes, timestamps,
-genre-set codes and fractions, which :func:`read_events` fills straight from
-the CSV rows.  :func:`build_series` folds every user at once on those columns
-and performs, cell by cell, the additions of :func:`interest_update` in the
-same order, so its profiles are bit-identical to folding one event at a time.
+genre-set codes and fractions, which :func:`read_events` fills from numpy's
+parse of the CSV rows, handling each distinct cell once.  :func:`build_series`
+folds every user at once on those columns and performs, cell by cell, the
+additions of :func:`interest_update` in the same order, so its profiles are
+bit-identical to folding one event at a time.
 """
 
 from __future__ import annotations
 
 import csv
-import math
-import re
-from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .ioutil import csv_cells, parse_timestamp, read_table, write_table
+from .ioutil import (
+    _check_user_id, _parse_float, _raise_first_fault, _read_chunks, csv_cells, parse_timestamp,
+    read_table, write_table,
+)
 from .space import ConceptSpace, UnknownGenreError
 
 __all__ = [
@@ -38,18 +39,6 @@ __all__ = [
     "read_profiles",
     "write_profiles",
 ]
-
-
-# C0 and C1 controls and the Unicode line and paragraph separators: in a user id they
-# would split or hide a line of summary.txt and of any text view of the CSV tables.
-_UNWRITABLE_ID = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]")
-
-
-def _check_user_id(user_id: str) -> None:
-    if not user_id:
-        raise ValueError("event user_id must be non-empty")
-    if _UNWRITABLE_ID.search(user_id):
-        raise ValueError(f"user id {user_id!r} holds a control character or line separator")
 
 
 @dataclass(frozen=True)
@@ -314,58 +303,68 @@ def _labels(raw_genres: str) -> tuple[str, ...]:
     return tuple(sorted({g.strip() for g in raw_genres.split(";")} - {""}))
 
 
-def read_events(path: str | Path) -> EventLog:
-    """Read a watch-event log, row by row, straight into columns.
+_EVENT_DTYPE = np.dtype([(name, object) for name in _EVENT_HEADER[:3]] + [(_EVENT_HEADER[3], "f8")])
 
-    Each row is checked as it is read, and each distinct user id once, at its
-    first row; a faulty one raises ``ValueError`` naming ``path:line`` and the cause.
+
+def _encode(cells: np.ndarray, codes: dict[str, int]) -> np.ndarray:
+    """Each cell's code in ``codes``, which gives each cell it has not seen the next code."""
+    cells = cells.tolist()
+    for cell in dict.fromkeys(cells):
+        codes.setdefault(cell, len(codes))
+    return np.fromiter(map(codes.__getitem__, cells), np.intp, len(cells))
+
+
+def _check_event_row(row: list[str]) -> None:
+    """Raise a faulty row's ValueError; of two causes, the one the reader always named."""
+    user_id, ts, genres, fraction = row
+    WatchEvent(user_id, parse_timestamp(ts), frozenset(_labels(genres)), _parse_float(fraction))
+
+
+def read_events(path: str | Path) -> EventLog:
+    """Read a watch-event log into columns.
+
+    numpy's C tokenizer parses the rows a chunk at a time, straight from the file.
+    Each distinct cell is handled once: a user id is checked, a timestamp parsed and a
+    genres cell split.  Any fault raises ``ValueError`` naming the first faulty row's
+    ``path:line`` and its cause, found by one ``csv`` pass.
     """
+    # Each column's distinct cells, each to its code, in first-seen order.
     users: dict[str, int] = {}
-    sets: dict[tuple[str, ...], int] = {}
-    set_of_text: dict[str, int] = {}  # raw genres cell -> genre-set code, -1 if empty
-    user, genre_set = array("q"), array("q")
-    timestamps, fractions = array("d"), array("d")
+    stamps: dict[str, int] = {}
+    genres: dict[str, int] = {}
+    none = np.empty(0, np.intp)
+    user_codes, stamp_codes, genre_codes, fractions = [none], [none], [none], [np.empty(0)]
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise ValueError(f"event log {path} is empty")
         if [h.strip() for h in header] != _EVENT_HEADER:
             raise ValueError(f"event log {path} has header {header!r}, expected {_EVENT_HEADER!r}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ValueError(f"{path}:{reader.line_num}: expected 4 fields, got {len(row)}")
-            user_id, raw_ts, raw_genres, raw_fraction = row
-            code = set_of_text.get(raw_genres)
-            if code is None:
-                labels = _labels(raw_genres)
-                code = sets.setdefault(labels, len(sets)) if labels else -1
-                set_of_text[raw_genres] = code
-            user_code = users.get(user_id)
-            try:
-                timestamp = parse_timestamp(raw_ts)
-                fraction = float(raw_fraction)
-                if user_code is None:
-                    _check_user_id(user_id)
-                    user_code = users[user_id] = len(users)
-                if not (code >= 0 and math.isfinite(timestamp) and 0 <= fraction <= 1):
-                    WatchEvent(user_id, timestamp, frozenset(_labels(raw_genres)), fraction)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-            user.append(user_code)
-            timestamps.append(timestamp)
-            genre_set.append(code)
-            fractions.append(fraction)
-    return EventLog(
-        tuple(users),
-        np.frombuffer(user, dtype=np.int64),
-        np.frombuffer(timestamps, dtype=np.float64),
-        tuple(sets),
-        np.frombuffer(genre_set, dtype=np.int64),
-        np.frombuffer(fractions, dtype=np.float64),
-    )
+        try:
+            for chunk in _read_chunks(fh, _EVENT_DTYPE):
+                user_codes.append(_encode(chunk["user_id"], users))
+                stamp_codes.append(_encode(chunk["timestamp"], stamps))
+                genre_codes.append(_encode(chunk["genres"], genres))
+                fractions.append(chunk["watched_fraction"].copy())  # a view would keep the text
+            for user_id in users:
+                _check_user_id(user_id)
+            sets: dict[tuple[str, ...], int] = {}
+            set_of_cell = np.array(  # -1 for a cell that names no genre, which EventLog refuses
+                [sets.setdefault(ls, len(sets)) if (ls := _labels(c)) else -1 for c in genres],
+                dtype=np.intp,
+            )
+            stamp_values = np.array(list(map(parse_timestamp, stamps)), dtype=float)
+            # EventLog refuses a non-finite timestamp and a fraction outside [0, 1].
+            return EventLog(
+                tuple(users),
+                np.concatenate(user_codes),
+                stamp_values[np.concatenate(stamp_codes)],
+                tuple(sets),
+                set_of_cell[np.concatenate(genre_codes)],
+                np.concatenate(fractions),
+            )
+        except ValueError as exc:
+            _raise_first_fault(path, len(_EVENT_HEADER), _check_event_row, str(exc))
 
 
 def write_events(events: EventLog | Iterable[WatchEvent], path: str | Path) -> None:

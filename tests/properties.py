@@ -8,11 +8,16 @@ fixed seed so failures reproduce exactly.
 
 from __future__ import annotations
 
+import csv
 import math
+from array import array
+from pathlib import Path
 
 import numpy as np
 
 import genretrack as gt
+from genretrack.ioutil import _check_user_id, csv_cells, parse_timestamp
+from genretrack.profiles import _EVENT_HEADER, _labels
 from genretrack.synthetic import DAY_SECONDS, _user_rng
 
 
@@ -234,6 +239,128 @@ def check_events_match_reference(rng: np.random.Generator) -> None:
     reference = reference_events(trajectories, space, programs_per_day, seed)
     log = gt.generate_events(trajectories, space, programs_per_day, seed)
     assert_same_log(log, gt.EventLog.from_events(reference))
+
+
+def reference_read_events(path) -> gt.EventLog:
+    """The row-by-row event reader that read_events must match, column for column.
+
+    Each row is checked as it is read, and each distinct user id once, at its first
+    row; a faulty one raises ValueError naming path:line and the cause.  It reads a
+    fraction with float(), so it also takes 0.1_5 and non-ASCII digits, which
+    read_events refuses as numpy's C parser does.
+    """
+    users: dict[str, int] = {}
+    sets: dict[tuple[str, ...], int] = {}
+    set_of_text: dict[str, int] = {}  # raw genres cell -> genre-set code, -1 if empty
+    user, genre_set = array("q"), array("q")
+    timestamps, fractions = array("d"), array("d")
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"event log {path} is empty")
+        if [h.strip() for h in header] != _EVENT_HEADER:
+            raise ValueError(f"event log {path} has header {header!r}, expected {_EVENT_HEADER!r}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 4:
+                raise ValueError(f"{path}:{reader.line_num}: expected 4 fields, got {len(row)}")
+            user_id, raw_ts, raw_genres, raw_fraction = row
+            code = set_of_text.get(raw_genres)
+            if code is None:
+                labels = _labels(raw_genres)
+                code = sets.setdefault(labels, len(sets)) if labels else -1
+                set_of_text[raw_genres] = code
+            user_code = users.get(user_id)
+            try:
+                timestamp = parse_timestamp(raw_ts)
+                fraction = float(raw_fraction)
+                if user_code is None:
+                    _check_user_id(user_id)
+                    user_code = users[user_id] = len(users)
+                if not (code >= 0 and math.isfinite(timestamp) and 0 <= fraction <= 1):
+                    gt.WatchEvent(user_id, timestamp, frozenset(_labels(raw_genres)), fraction)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+            user.append(user_code)
+            timestamps.append(timestamp)
+            genre_set.append(code)
+            fractions.append(fraction)
+    return gt.EventLog(
+        tuple(users),
+        np.frombuffer(user, dtype=np.int64),
+        np.frombuffer(timestamps, dtype=np.float64),
+        tuple(sets),
+        np.frombuffer(genre_set, dtype=np.int64),
+        np.frombuffer(fractions, dtype=np.float64),
+    )
+
+
+def read_both(path):
+    """(reference log or error message, read_events log or error message)."""
+    out = []
+    for read in (reference_read_events, gt.read_events):
+        try:
+            out.append(read(path))
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
+def assert_reads_like_reference(path) -> None:
+    """read_events gives the reference reader's columns, or its first-fault message."""
+    reference, got = read_both(path)
+    if isinstance(reference, str):
+        assert got == reference
+    else:
+        assert not isinstance(got, str), got
+        assert_same_log(got, reference)
+
+
+# Ids that can be written: commas, quotes, "=", edge whitespace, non-ASCII text.
+AWKWARD_IDS = ["u1", "a,b", 'say "hi"', "x=y", " edge ", "é", "u\xa0v", "\u2027", "日本", '""']
+# Cells of a genres column, a quoted multi-line one and one holding a blank line among them.
+GENRES_CELLS = ["Drama", "Sports;News", " Drama ; Sports ", "News;News;", "Drama;\nSports", "News;\n\nDrama"]
+# Malformed rows: each kind test_each_fault_names_its_line covers, and more.
+BAD_ROWS = [
+    ",5,Drama,1.0", "u2,5, ; ,1.0", "u2,inf,Drama,1.0", "u2,5,Drama,1.5", "u2,5,Drama,half",
+    "u2,soon,Drama,1.0", "u2,5,Drama", "u2,5,Drama,1,1", '"a\x00",5,Drama,1', '"a\u2028b",5,Drama,1',
+    "u2,5,Drama,nan", "u2,5,Drama,", "   ",
+    # more than one fault: the reader's order of checks picks the cause
+    "u2,soon,Drama,half", ",soon,Drama,1", ",5,Drama,half", '"a\x00",5,,1', "u2,inf, ,2", "u2,inf,Drama,2",
+]
+
+
+def _timestamp_cell(rng: np.random.Generator) -> str:
+    seconds = int(rng.integers(0, 10 * DAY_SECONDS))
+    kind = int(rng.integers(0, 4))
+    if kind == 0:
+        return str(seconds)
+    if kind == 1:
+        return repr(seconds + float(rng.random()))
+    iso = np.datetime_as_string(np.datetime64(seconds, "s"))
+    return iso + "Z" if kind == 2 else iso.replace("T", " ") + "+01:00"
+
+
+def check_read_events_matches_reference(rng: np.random.Generator, tmp_path: Path) -> None:
+    """read_events gives the reference reader's columns on a valid file, and on a faulty
+    one its first-fault message, over awkward ids, blank lines, mixed line ends, ISO and
+    numeric timestamps and quoted multi-line cells."""
+    ends = ["\n", "\r\n", "\r"]
+    lines = ["user_id,timestamp,genres,watched_fraction" + ends[int(rng.integers(0, 2))]]
+    for _ in range(int(rng.integers(0, 25))):
+        user_id, genres = (str(rng.choice(cells)) for cells in (AWKWARD_IDS, GENRES_CELLS))
+        fraction = str(rng.choice(["0", "1", " 0.5 ", repr(float(rng.random()))]))
+        cells = csv_cells([user_id, _timestamp_cell(rng), genres]) + [fraction]
+        lines.append(",".join(cells) + str(rng.choice(ends)))
+        if rng.random() < 0.2:
+            lines.append(str(rng.choice(ends)))  # a blank line
+    for _ in range(int(rng.integers(0, 3))):
+        lines.insert(int(rng.integers(1, len(lines) + 1)), str(rng.choice(BAD_ROWS)) + "\n")
+    path = tmp_path / "events.csv"
+    path.write_text("".join(lines), encoding="utf-8", newline="")
+    assert_reads_like_reference(path)
 
 
 def run_many(check, n_cases: int, seed: int) -> int:

@@ -313,6 +313,26 @@ class TestErrors:
         assert f"{events}:3: user id 'u\\x00' holds a control character" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["track", "recommend"])
+    def test_unwritable_user_id_in_a_numeric_table_is_refused(self, pipeline, tmp_path, capsys, command):
+        # Hand-written tables: "x\ny" would split summary.txt's lines if it ran through.
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("a\n", encoding="utf-8")
+        profiles_csv = tmp_path / "profiles.csv"
+        profiles_csv.write_text('user_id,instant,a\nu,1,0.5\n"x\ny",1,0.5\n"x\ny",2,0.5\n', encoding="utf-8")
+        states = tmp_path / "final_states.csv"
+        states.write_text('user_id,pos_a,vel_a,acc_a\nu,1,0,0\n"x\ny",1,0,0\n', encoding="utf-8")
+        common = ["--vocabulary", str(vocab), "--profiles", str(profiles_csv), "--out", str(tmp_path / "o")]
+        if command == "track":
+            code, where = run(["track", *common]), f"{profiles_csv}:4"
+        else:
+            events = pipeline["sim"] / "events.csv"
+            code = run(["recommend", *common, "--final-states", str(states), "--events", str(events)])
+            where = f"{states}:4"
+        assert code == 2
+        assert f"{where}: user id 'x\\ny' holds a control character" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_empty_event_log(self, tmp_path, capsys):
         vocab = tmp_path / "vocab.txt"
         vocab.write_text("a\n", encoding="utf-8")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from genretrack import ioutil
 from genretrack.ioutil import (
     csv_cells, fmt, parse_timestamp, read_table, safe_filename, write_table
 )
@@ -99,13 +100,39 @@ class TestReadTable:
         assert labels == [] and values.tolist() == [[1, 2, 3], [4, 5, 6]]
 
     def test_labels_read_back_exactly(self, tmp_path):
-        # Text, not numpy's U dtype: a trailing NUL or edge whitespace survives.
-        labels = ["a,b", 'say "hi"', "two\nlines", " edge ", "a\x00", "\x00", "é", "", "x=y"]
+        # Text, not numpy's U dtype: edge whitespace survives.  Labels are user ids, so one
+        # holding a line break or NUL, or an empty one, is refused (the next test).
+        labels = ["a,b", 'say "hi"', " edge ", "é", "x=y", "u\xa0v", "\u2027"]
         path = tmp_path / "table.csv"
         write_table(path, ["user_id", "a"], "%s,%.17g\n", zip(csv_cells(labels), range(len(labels))))
         got, values = read_table(path, ["user_id", "a"], "table", labeled=True)
         assert got == labels
         assert values[:, 0].tolist() == list(range(len(labels)))
+
+    @pytest.mark.parametrize(
+        "label, cause",
+        [
+            ("two\nlines", "user id 'two\\nlines' holds a control character or line separator"),
+            ("a\x00", "user id 'a\\x00' holds a control character or line separator"),
+            ("\x00", "user id '\\x00' holds a control character or line separator"),
+            ("a\u2028b", "user id 'a\\u2028b' holds a control character or line separator"),
+            ("", "event user_id must be non-empty"),
+        ],
+    )
+    def test_unwritable_label_names_its_first_row(self, tmp_path, label, cause):
+        labels = ["u", label, "v", label]
+        path = tmp_path / "table.csv"
+        write_table(path, ["user_id", "a"], "%s,%.17g\n", zip(csv_cells(labels), range(len(labels))))
+        line = 3 + label.count("\n")  # the label's first row ends on this line
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: {cause}") + "$"):
+            read_table(path, ["user_id", "a"], "table", labeled=True)
+
+    def test_each_distinct_label_checked_once(self, tmp_path, monkeypatch):
+        checked = []
+        monkeypatch.setattr(ioutil, "_check_user_id", checked.append)
+        path = table_file(tmp_path, "".join(f"u{i % 3},{i},0\n" for i in range(30)))
+        labels, _ = read_table(path, ["user_id", "a", "b"], "table", labeled=True)
+        assert len(labels) == 30 and checked == ["u0", "u1", "u2"]
 
     def test_blank_lines_skipped(self, tmp_path):
         path = table_file(tmp_path, "\nu,1,2\n\n\r\nv,3,4\n\n")
@@ -135,7 +162,10 @@ class TestReadTable:
             ("u,1,1_0\n", True, ":2: could not convert string to float: '1_0'"),
             ("u,\u0663,2\n", True, ":2: could not convert string to float: '\u0663'"),
             ("u,1,2\nu,\uff11,2\n", True, ":3: could not convert string to float: '\uff11'"),
-            ('"two\nlines",1,2\nu,x,2\n', True, ":4: could not convert string to float: 'x'"),
+            # the first faulty row is now the one holding an unwritable id
+            ('"two\nlines",1,2\nu,x,2\n', True, ":3: user id 'two\\nlines' holds a control character or line separator"),
+            ('1,2,3\n"4\n",5,6\n7,x,9\n', False, ":5: could not convert string to float: 'x'"),
+            ("u,1,2\nv\x00,3,4\nw,1,x\n", True, ":3: user id 'v\\x00' holds a control character or line separator"),
         ],
     )
     def test_fault_names_path_line_and_cause(self, tmp_path, body, labeled, cause):

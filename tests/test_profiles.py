@@ -1,11 +1,20 @@
+import functools
 import re
 
 import numpy as np
 import pytest
 
 import genretrack as gt
-from genretrack import profiles
-from properties import check_fold_matches_reference, check_order_insensitivity, run_many
+from genretrack import ioutil, profiles
+from properties import (
+    assert_reads_like_reference,
+    assert_same_log,
+    check_fold_matches_reference,
+    check_order_insensitivity,
+    check_read_events_matches_reference,
+    reference_read_events,
+    run_many,
+)
 
 
 @pytest.fixture
@@ -359,6 +368,84 @@ class TestEventIO:
         )
         with pytest.raises(ValueError, match=":3:"):
             gt.read_events(path)
+
+
+class TestReadEventsAgainstReference:
+    """read_events against the row-by-row csv reader it replaced (tests/properties.py)."""
+
+    HEADER = "user_id,timestamp,genres,watched_fraction\n"
+
+    def test_property_matches_reference(self, tmp_path):
+        check = functools.partial(check_read_events_matches_reference, tmp_path=tmp_path)
+        assert run_many(check, n_cases=300, seed=8) == 300
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_rows_around_a_chunk_boundary(self, tmp_path, offset):
+        n = ioutil._CHUNK_ROWS + offset
+        rows = [f"u{i % 7},{i},{'Drama' if i % 2 else 'News;Sports'},0.5\n" for i in range(n)]
+        rows.insert(ioutil._CHUNK_ROWS // 2, "\n\r\n")  # blank lines count toward no chunk
+        path = tmp_path / "events.csv"
+        path.write_text(self.HEADER + "".join(rows), encoding="utf-8", newline="")
+        assert len(gt.read_events(path)) == n
+        assert_reads_like_reference(path)
+
+    @pytest.mark.parametrize("body", ["", "\n", "\n\r\n\r\n\n"], ids=["no_rows", "blank", "blanks"])
+    def test_no_rows(self, tmp_path, body):
+        path = tmp_path / "events.csv"
+        path.write_text(self.HEADER + body, encoding="utf-8", newline="")
+        log = gt.read_events(path)
+        assert len(log) == 0 and log.user_ids == () and log.genre_sets == ()
+
+    @pytest.mark.parametrize("first", [-2, -1, 0])
+    def test_quoted_multi_line_cell_across_a_chunk_boundary(self, tmp_path, first):
+        # Rows first and first + 1 hold a three-line genres cell, so the lines of row
+        # _CHUNK_ROWS - 1 or _CHUNK_ROWS run past the line that would end a chunk of lines.
+        n = ioutil._CHUNK_ROWS + 2
+        rows = [f"u{i % 3},{i},Drama,1\n" for i in range(n)]
+        for i in (ioutil._CHUNK_ROWS + first, ioutil._CHUNK_ROWS + first + 1):
+            rows[i] = f'v,{i},"News;\nSports;\r\nDrama",0.25\n'
+        path = tmp_path / "events.csv"
+        path.write_text(self.HEADER + "".join(rows), encoding="utf-8", newline="")
+        log = gt.read_events(path)
+        assert len(log) == n and ("Drama", "News", "Sports") in log.genre_sets
+        assert_reads_like_reference(path)
+
+    def test_fault_in_a_later_chunk_names_its_line(self, tmp_path):
+        rows = [f"u,{i},Drama,1\n" for i in range(ioutil._CHUNK_ROWS + 5)]
+        rows[ioutil._CHUNK_ROWS + 2] = "u,1,Drama,2\n"
+        path = tmp_path / "events.csv"
+        path.write_text(self.HEADER + "".join(rows), encoding="utf-8", newline="")
+        line = ioutil._CHUNK_ROWS + 4
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: watched_fraction must be in [0, 1], got 2.0")):
+            gt.read_events(path)
+
+    @pytest.mark.parametrize("cell", ["0.1_5", "\u0660", "\uff11"])
+    def test_fraction_only_float_reads_is_refused(self, tmp_path, cell):
+        # A behaviour change: the row-by-row reader took these through float().
+        path = tmp_path / "events.csv"
+        path.write_text(f"{self.HEADER}u,1,Drama,1\nu,2,Drama,{cell}\n", encoding="utf-8")
+        assert len(reference_read_events(path)) == 2
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: could not convert string to float: {cell!r}")):
+            gt.read_events(path)
+
+    def test_rows_ended_by_a_bare_carriage_return_are_read(self, tmp_path):
+        # Lines split as csv splits them, so a bare CR ends a row, as it did before.
+        path = tmp_path / "events.csv"
+        path.write_text(self.HEADER.replace("\n", "\r") + "u,1,Drama,1\rv,2,News,0.5\r", encoding="utf-8", newline="")
+        lf = tmp_path / "lf.csv"
+        lf.write_text(self.HEADER + "u,1,Drama,1\nv,2,News,0.5\n", encoding="utf-8")
+        assert_reads_like_reference(path)
+        assert_same_log(gt.read_events(path), gt.read_events(lf))
+
+    def test_each_distinct_cell_parsed_once(self, tmp_path, monkeypatch):
+        parsed, split = [], []
+        monkeypatch.setattr(profiles, "parse_timestamp", lambda raw: parsed.append(raw) or float(raw))
+        monkeypatch.setattr(profiles, "_labels", lambda raw: split.append(raw) or (raw,))
+        rows = [f"u{i % 3},{i % 4},{'ab'[i % 2]},1\n" for i in range(40)]
+        path = tmp_path / "events.csv"
+        path.write_text(self.HEADER + "".join(rows), encoding="utf-8")
+        assert len(gt.read_events(path)) == 40
+        assert parsed == ["0", "1", "2", "3"] and split == ["a", "b"]
 
 
 class TestProfileIO:
