@@ -13,24 +13,27 @@ command imports, when it runs, only the modules it uses: ``build-profiles``
 loads ``space``, ``ioutil`` and ``profiles``; ``track`` adds ``tracking``;
 ``recommend`` adds ``tracking`` and ``recommender``; ``evaluate`` adds
 ``tracking`` and ``evaluation``; only ``simulate`` loads ``synthetic``.
-Exit codes: 0 success, 2 usage or input validation error (a filter that
-diverges under the given model parameters included), 1 unexpected failure.
+Every CSV input, ``tracks/index.csv`` included, is read by ``ioutil.read_rows``,
+so a faulty row is named by ``path:line`` and its cause, and a user id in any table
+obeys one rule.  Exit codes: 0 success, 2 usage or input validation error (a filter
+that diverges under the given model parameters included), 1 unexpected failure.
 Diagnostics are one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import re
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .ioutil import DAY_SECONDS, csv_cells, fmt, safe_filename, write_table
+from .ioutil import (
+    DAY_SECONDS, _check_user_id, csv_cells, fmt, read_rows, safe_filename, write_table,
+)
 
 __all__ = ["main"]
 
@@ -403,6 +406,16 @@ def cmd_recommend(effective: dict) -> Writer:
     return write
 
 
+_INDEX = np.dtype([("user_id", object), ("file", object)])  # tracks/index.csv
+
+
+def _check_index_row(row: Sequence[str]) -> Sequence[str]:
+    _check_user_id(row[0])
+    if not row[1]:
+        raise ValueError("file must be non-empty")
+    return row
+
+
 def cmd_evaluate(effective: dict) -> Writer:
     from .evaluation import evaluate_many, write_histogram, write_report, write_summary
     from .profiles import read_profiles
@@ -412,17 +425,9 @@ def cmd_evaluate(effective: dict) -> Writer:
     observations = read_profiles(effective["profiles"], space)
     tracks_dir = Path(effective["tracks"])
     index_path = tracks_dir / "index.csv"
-    if not index_path.is_file():
-        raise CliError(f"no track index at {index_path}")
-    records = []
-    with open(index_path, newline="", encoding="utf-8") as fh:
-        index = csv.reader(fh)
-        if next(index, None) != ["user_id", "file"]:
-            raise CliError(f"{index_path}: malformed track index")
-        for row in filter(None, index):  # skip blank lines
-            if len(row) != 2 or not row[1]:
-                raise CliError(f"{index_path}:{index.line_num}: expected user_id,file")
-            records.append(read_track_record(tracks_dir / row[1], space, row[0]))
+    with read_rows(index_path, _INDEX.names, "track index", _INDEX, _check_index_row) as chunks:
+        index = [_check_index_row(row) for chunk in chunks for row in chunk.tolist()]
+    records = [read_track_record(tracks_dir / name, space, user_id) for user_id, name in index]
     if not records:
         raise CliError(f"track index {index_path} lists no users")
     try:

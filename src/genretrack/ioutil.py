@@ -1,31 +1,34 @@
 """Small shared helpers for deterministic text I/O and timestamp parsing.
 
 CSV tables are written whole rows at a time; ``%.17g`` prints what :func:`fmt` prints.
-Tables are read back by numpy's C tokenizer (:func:`read_table` for the numeric ones; the
-event log in chunks streamed from the file); one ``csv`` pass then names a faulty row.
+Every table is read back by :func:`read_rows`: numpy's C tokenizer parses chunks of rows
+streamed from the file, and on a fault one ``csv`` pass names the faulty row.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import re
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from itertools import chain, filterfalse
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 __all__ = [
-    "DAY_SECONDS", "fmt", "csv_cells", "write_table", "read_table", "parse_timestamp",
-    "safe_filename",
+    "DAY_SECONDS", "fmt", "csv_cells", "write_table", "read_rows", "read_table",
+    "parse_timestamp", "safe_filename",
 ]
 
 DAY_SECONDS = 86400  # epoch seconds per UTC day
-# numpy allocates a chunk's rows up front: 16384 rows of the event log take 512 KiB, but
-# of a wide numeric table many MiB, so read_table parses its (smaller) tables whole.
-_CHUNK_ROWS = 16384
+# numpy allocates a chunk's rows up front, so a chunk holds as many rows as fit this many
+# bytes: 16384 of the event log's 32-byte rows, fewer of a wide numeric table.
+_CHUNK_BYTES = 1 << 19
+# csv's field size limit (131072 characters by default) while read_rows runs: any cell
+# numpy reads, csv reads too when it looks for a faulty row.
+_FIELD_LIMIT = (1 << 31) - 1
 _BLANK_LINES = frozenset({"\n", "\r\n", "\r"})  # the lines numpy skips as holding no row
 _LOADTXT = dict(delimiter=",", quotechar='"', comments=None)  # CSV as csv.writer writes it
 
@@ -56,30 +59,63 @@ def write_table(path: str | Path, header: Sequence[str], row_format: str, rows: 
         fh.writelines(row_format % row for row in rows)
 
 
+@contextmanager
+def read_rows(
+    path: str | Path, header: Sequence[str], what: str, dtype: np.dtype, check: Callable
+) -> Iterator[Iterator[np.ndarray]]:
+    r"""The rows of the ``what`` table at ``path`` as arrays of ``dtype``, a chunk at a time.
+
+    The header's cells, stripped, must be ``header``.  numpy's C tokenizer parses chunks
+    of at most ``_CHUNK_BYTES`` straight from the file, opened with ``newline=""``, so a
+    row may end in ``\n``, ``\r\n`` or a bare ``\r``.  Blank lines, even one in a quoted
+    cell, are dropped: numpy warns of one under ``max_rows``.  A ``ValueError`` raised in
+    the ``with`` block, by numpy or the caller, makes one ``csv`` pass that raises
+    ``path:line: <cause>`` for the first row with other than ``len(header)`` cells or on
+    which ``check`` raises ``ValueError(cause)``, else ``path: <error>``.  ``csv``'s
+    field size limit is lifted until the block ends.
+    """
+    header = list(header)
+    limit = csv.field_size_limit(_FIELD_LIMIT)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            got = next(csv.reader(fh), None)
+            if got is None:
+                raise ValueError(f"{what} {path} is empty")
+            if [cell.strip() for cell in got] != header:
+                raise ValueError(f"{what} {path} has header {got!r}, expected {header!r}")
+            rows = filterfalse(_BLANK_LINES.__contains__, fh)
+            max_rows = max(1, _CHUNK_BYTES // dtype.itemsize)
+            try:
+                yield (  # each chunk starts at the next line left
+                    np.loadtxt(chain((line,), rows), dtype, max_rows=max_rows, ndmin=1, **_LOADTXT)
+                    for line in rows
+                )
+            except ValueError as error:
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)
+                for row in filter(None, reader):
+                    where = f"{path}:{reader.line_num}"
+                    if len(row) != len(header):
+                        raise ValueError(f"{where}: expected {len(header)} fields, got {len(row)}")
+                    try:
+                        check(row)
+                    except ValueError as cause:
+                        raise ValueError(f"{where}: {cause}") from None
+                raise ValueError(f"{path}: {error}")
+    finally:
+        csv.field_size_limit(limit)
+
+
 def read_table(
     path: str | Path, header: Sequence[str], what: str, labeled: bool = False
 ) -> tuple[list[str], np.ndarray]:
     """A CSV table's rows: (labels, values), the first column's exact text if ``labeled``.
 
-    Blank lines are skipped.  ``csv`` checks the header and numpy's C tokenizer parses
-    the rest as floats, which are those ``float()`` gives.  Labels are user ids, each
-    distinct one checked once.  A faulty row raises ``ValueError`` with
-    ``path:line: <cause>``, found by one ``csv`` pass over the file.
+    Read by :func:`read_rows`; the floats are those ``float()`` gives.  Labels are user
+    ids, each distinct one checked once.
     """
-    header = list(header)
-    with open(path, newline="", encoding="utf-8") as fh:
-        got = next(csv.reader(fh), None)
-        body = fh.read()  # lines end at "\n" alone, so numpy refuses a row ended by a bare "\r"
-    if got is None:
-        raise ValueError(f"{what} {path} is empty")
-    if got != header:
-        raise ValueError(
-            f"{what} {path} columns do not match the vocabulary: "
-            f"got {got[:4]}..., expected {header[:4]}..."
-        )
     n = len(header) - labeled
-    if not body.strip("\r\n"):  # loadtxt warns on a table with no rows
-        return [], np.empty((0, n))
     dtype = np.dtype([("label", object)] * labeled + [("values", float, (n,))])
 
     def check_row(row: list[str]) -> None:
@@ -88,47 +124,15 @@ def read_table(
         for cell in row[labeled:]:
             _parse_float(cell)
 
-    try:
-        table = np.loadtxt(io.StringIO(body), dtype, ndmin=1, **_LOADTXT)
-        labels = table["label"].tolist() if labeled else []
+    labels: list[str] = []
+    values = [np.empty((0, n))]
+    with read_rows(path, header, what, dtype, check_row) as chunks:
+        for chunk in chunks:
+            labels += chunk["label"].tolist() if labeled else []
+            values.append(chunk["values"])
         for label in dict.fromkeys(labels):
             _check_user_id(label)
-    except ValueError as exc:
-        _raise_first_fault(path, len(header), check_row, str(exc))
-    return labels, np.ascontiguousarray(table["values"])
-
-
-def _read_chunks(lines: Iterable[str], dtype: np.dtype) -> Iterator[np.ndarray]:
-    """The CSV rows of ``lines`` (an open file, say) as arrays of ``_CHUNK_ROWS`` rows or fewer.
-
-    numpy's C tokenizer parses each chunk straight from ``lines``, so the text of one
-    chunk at most is held at once.  Blank lines, even one in a quoted cell, are dropped
-    first: numpy warns of one under ``max_rows``.  A row numpy cannot parse raises its
-    ``ValueError``.
-    """
-    rows = filterfalse(_BLANK_LINES.__contains__, lines)
-    for line in rows:  # each chunk starts at the next line left
-        yield np.loadtxt(chain((line,), rows), dtype, max_rows=_CHUNK_ROWS, ndmin=1, **_LOADTXT)
-
-
-def _raise_first_fault(path: str | Path, n_fields: int, check: Callable, error: str) -> NoReturn:
-    """Raise the first faulty row's ``path:line: <cause>``, else ``path: <error>``.
-
-    One ``csv`` pass reads the rows after the header.  A row is faulty if it has not
-    ``n_fields`` cells or if ``check`` raises ``ValueError(cause)`` on it.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in filter(None, reader):
-            where = f"{path}:{reader.line_num}"
-            if len(row) != n_fields:
-                raise ValueError(f"{where}: expected {n_fields} fields, got {len(row)}")
-            try:
-                check(row)
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-    raise ValueError(f"{path}: {error}")
+    return labels, np.concatenate(values)
 
 
 def _parse_float(cell: str) -> float:
@@ -147,7 +151,7 @@ _UNWRITABLE_ID = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]")
 
 def _check_user_id(user_id: str) -> None:
     if not user_id:
-        raise ValueError("event user_id must be non-empty")
+        raise ValueError("user id must be non-empty")
     if _UNWRITABLE_ID.search(user_id):
         raise ValueError(f"user id {user_id!r} holds a control character or line separator")
 

@@ -15,7 +15,6 @@ bit-identical to folding one event at a time.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -23,8 +22,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .ioutil import (
-    _check_user_id, _parse_float, _raise_first_fault, _read_chunks, csv_cells, parse_timestamp,
-    read_table, write_table,
+    _check_user_id, _parse_float, csv_cells, parse_timestamp, read_rows, read_table, write_table,
 )
 from .space import ConceptSpace, UnknownGenreError
 
@@ -321,12 +319,11 @@ def _check_event_row(row: list[str]) -> None:
 
 
 def read_events(path: str | Path) -> EventLog:
-    """Read a watch-event log into columns.
+    """Read a watch-event log into columns, through :func:`ioutil.read_rows`.
 
-    numpy's C tokenizer parses the rows a chunk at a time, straight from the file.
     Each distinct cell is handled once: a user id is checked, a timestamp parsed and a
     genres cell split.  Any fault raises ``ValueError`` naming the first faulty row's
-    ``path:line`` and its cause, found by one ``csv`` pass.
+    ``path:line`` and its cause.
     """
     # Each column's distinct cells, each to its code, in first-seen order.
     users: dict[str, int] = {}
@@ -334,37 +331,29 @@ def read_events(path: str | Path) -> EventLog:
     genres: dict[str, int] = {}
     none = np.empty(0, np.intp)
     user_codes, stamp_codes, genre_codes, fractions = [none], [none], [none], [np.empty(0)]
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None:
-            raise ValueError(f"event log {path} is empty")
-        if [h.strip() for h in header] != _EVENT_HEADER:
-            raise ValueError(f"event log {path} has header {header!r}, expected {_EVENT_HEADER!r}")
-        try:
-            for chunk in _read_chunks(fh, _EVENT_DTYPE):
-                user_codes.append(_encode(chunk["user_id"], users))
-                stamp_codes.append(_encode(chunk["timestamp"], stamps))
-                genre_codes.append(_encode(chunk["genres"], genres))
-                fractions.append(chunk["watched_fraction"].copy())  # a view would keep the text
-            for user_id in users:
-                _check_user_id(user_id)
-            sets: dict[tuple[str, ...], int] = {}
-            set_of_cell = np.array(  # -1 for a cell that names no genre, which EventLog refuses
-                [sets.setdefault(ls, len(sets)) if (ls := _labels(c)) else -1 for c in genres],
-                dtype=np.intp,
-            )
-            stamp_values = np.array(list(map(parse_timestamp, stamps)), dtype=float)
-            # EventLog refuses a non-finite timestamp and a fraction outside [0, 1].
-            return EventLog(
-                tuple(users),
-                np.concatenate(user_codes),
-                stamp_values[np.concatenate(stamp_codes)],
-                tuple(sets),
-                set_of_cell[np.concatenate(genre_codes)],
-                np.concatenate(fractions),
-            )
-        except ValueError as exc:
-            _raise_first_fault(path, len(_EVENT_HEADER), _check_event_row, str(exc))
+    with read_rows(path, _EVENT_HEADER, "event log", _EVENT_DTYPE, _check_event_row) as chunks:
+        for chunk in chunks:
+            user_codes.append(_encode(chunk["user_id"], users))
+            stamp_codes.append(_encode(chunk["timestamp"], stamps))
+            genre_codes.append(_encode(chunk["genres"], genres))
+            fractions.append(chunk["watched_fraction"].copy())  # a view would keep the text
+        for user_id in users:
+            _check_user_id(user_id)
+        sets: dict[tuple[str, ...], int] = {}
+        set_of_cell = np.array(  # -1 for a cell that names no genre, which EventLog refuses
+            [sets.setdefault(ls, len(sets)) if (ls := _labels(c)) else -1 for c in genres],
+            dtype=np.intp,
+        )
+        stamp_values = np.array(list(map(parse_timestamp, stamps)), dtype=float)
+        # EventLog refuses a non-finite timestamp and a fraction outside [0, 1].
+        return EventLog(
+            tuple(users),
+            np.concatenate(user_codes),
+            stamp_values[np.concatenate(stamp_codes)],
+            tuple(sets),
+            set_of_cell[np.concatenate(genre_codes)],
+            np.concatenate(fractions),
+        )
 
 
 def write_events(events: EventLog | Iterable[WatchEvent], path: str | Path) -> None:

@@ -1,5 +1,7 @@
+import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -369,6 +371,48 @@ class TestErrors:
         assert code == 2
         assert "index" in capsys.readouterr().err
 
+
+    def test_cell_past_the_csv_field_limit_does_not_stop_the_fault_pass(self, tmp_path, capsys):
+        # csv refuses a cell over 131072 characters by default; numpy reads it.
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("a\n", encoding="utf-8")
+        events = tmp_path / "events.csv"
+        rows = f"u,150,{'a' * 200_000},1\nu,160,a,2\n"
+        events.write_text("user_id,timestamp,genres,watched_fraction\n" + rows, encoding="utf-8")
+        instants = tmp_path / "instants.txt"
+        instants.write_text("100\n200\n", encoding="utf-8")
+        limit = csv.field_size_limit()
+        code = run([
+            "build-profiles", "--vocabulary", str(vocab), "--events", str(events),
+            "--instants", str(instants), "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {events}:3: watched_fraction must be in [0, 1], got 2.0" in err
+        assert csv.field_size_limit() == limit and not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "row, cause",
+        [
+            ('"u\x01",u0001.csv', "user id 'u\\x01' holds a control character or line separator"),
+            ("u0001,", "file must be non-empty"),
+            ("u0001,u0001.csv,x", "expected 2 fields, got 3"),
+        ],
+        ids=["control_character", "empty_file", "three_fields"],
+    )
+    def test_faulty_track_index_row_names_its_line(self, pipeline, tmp_path, capsys, row, cause):
+        tracks = tmp_path / "tracks"
+        shutil.copytree(pipeline["tracked"] / "tracks", tracks)
+        index = tracks / "index.csv"
+        index.write_text(f"user_id,file\nu0000,u0000.csv\n\n{row}\nu0002,u0002.csv\n", encoding="utf-8")
+        code = run([
+            "evaluate", "--vocabulary", str(pipeline["sim"] / "vocabulary.txt"),
+            "--profiles", str(pipeline["built"] / "built_profiles.csv"),
+            "--tracks", str(tracks), "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"genretrack evaluate: error: {index}:4: {cause}\n"
+        assert not (tmp_path / "o").exists()
 
 class TestTrackMatchesLibrary:
     def test_matches_track_series_within_print_precision(self, pipeline):

@@ -116,7 +116,7 @@ class TestReadTable:
             ("a\x00", "user id 'a\\x00' holds a control character or line separator"),
             ("\x00", "user id '\\x00' holds a control character or line separator"),
             ("a\u2028b", "user id 'a\\u2028b' holds a control character or line separator"),
-            ("", "event user_id must be non-empty"),
+            ("", "user id must be non-empty"),
         ],
     )
     def test_unwritable_label_names_its_first_row(self, tmp_path, label, cause):
@@ -174,19 +174,31 @@ class TestReadTable:
         with pytest.raises(ValueError, match=re.escape(f"{path}{cause}") + "$"):
             read_table(path, header, "table", labeled=labeled)
 
-    def test_fault_csv_reads_but_the_c_parser_does_not_names_the_file(self, tmp_path):
-        path = table_file(tmp_path, "u,1,2\rv,3,4\r")  # bare carriage returns end the rows
-        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*embedded newline"):
-            read_table(path, ["user_id", "a", "b"], "table", labeled=True)
+    def test_rows_ended_by_a_bare_carriage_return_read_like_their_lf_twin(self, tmp_path):
+        header = ["user_id", "a", "b"]
+        rows = "u,1,2\nv,3.5,0.1\n\nu,-0,1e-300\n"
+        cr = table_file(tmp_path, rows.replace("\n", "\r"))
+        (tmp_path / "lf").mkdir()
+        lf = table_file(tmp_path / "lf", rows)
+        cr_labels, cr_values = read_table(cr, header, "table", labeled=True)
+        lf_labels, lf_values = read_table(lf, header, "table", labeled=True)
+        assert cr_labels == lf_labels == ["u", "v", "u"]
+        assert cr_values.view(np.uint64).tolist() == lf_values.view(np.uint64).tolist()
 
     def test_empty_file_and_wrong_header(self, tmp_path):
         path = tmp_path / "table.csv"
         path.write_text("", encoding="utf-8")
-        with pytest.raises(ValueError, match="table .* is empty"):
+        with pytest.raises(ValueError, match=re.escape(f"table {path} is empty") + "$"):
             read_table(path, ["user_id", "a"], "table", labeled=True)
         path.write_text("user_id,b\nu,1\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="columns do not match the vocabulary"):
+        expected = f"table {path} has header ['user_id', 'b'], expected ['user_id', 'a']"
+        with pytest.raises(ValueError, match=re.escape(expected) + "$"):
             read_table(path, ["user_id", "a"], "table", labeled=True)
+
+    def test_header_cells_are_stripped(self, tmp_path):
+        path = table_file(tmp_path, "u,1,2\n", header=(" user_id", "a ", " b\t"))
+        labels, values = read_table(path, ["user_id", "a", "b"], "table", labeled=True)
+        assert labels == ["u"] and values.tolist() == [[1, 2]]
 
     @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=30))
     @example([5e-324, -0.0, 1e308, math.inf, -math.inf, 1e-330, 0.1])
@@ -197,6 +209,59 @@ class TestReadTable:
         _, values = read_table(path, ["a"], "table")
         expected = np.array([float(c) for c in cells])
         assert values[:, 0].view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
+class TestReadTableChunks:
+    """read_table streams rows in chunks of ``_CHUNK_BYTES // itemsize`` rows."""
+
+    HEADER = ["user_id", "a"]
+    DTYPE = np.dtype([("label", object), ("values", float, (1,))])  # as read_table reads HEADER
+    CHUNK_ROWS = ioutil._CHUNK_BYTES // DTYPE.itemsize
+
+    def write(self, tmp_path, rows):
+        path = tmp_path / "table.csv"
+        path.write_text("user_id,a\n" + "".join(rows), encoding="utf-8", newline="")
+        return path
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_rows_around_a_chunk_boundary(self, tmp_path, offset):
+        n = self.CHUNK_ROWS + offset
+        rows = [f"u{i % 5},{i}\n" for i in range(n)]
+        rows.insert(self.CHUNK_ROWS // 2, "\n\r\n")  # blank lines count toward no chunk
+        labels, values = read_table(self.write(tmp_path, rows), self.HEADER, "table", labeled=True)
+        assert labels == [f"u{i % 5}" for i in range(n)]
+        assert values[:, 0].tolist() == list(range(n)) and values.flags.c_contiguous
+
+    @pytest.mark.parametrize("first", [-2, -1, 0])
+    def test_quoted_multi_line_cells_across_a_chunk_boundary(self, tmp_path, first):
+        # Rows first and first + 1 hold a quoted value over three lines, so the lines of
+        # row CHUNK_ROWS - 1 or CHUNK_ROWS run past the line that would end a chunk of lines.
+        n = self.CHUNK_ROWS + 2
+        rows = [f"u,{i}\n" for i in range(n)]
+        for i in (self.CHUNK_ROWS + first, self.CHUNK_ROWS + first + 1):
+            rows[i] = f'v,"\n{i}\r\n"\n'
+        labels, values = read_table(self.write(tmp_path, rows), self.HEADER, "table", labeled=True)
+        assert labels.count("v") == 2 and values[:, 0].tolist() == list(range(n))
+
+    @pytest.mark.parametrize("first", [-1, 0])
+    def test_quoted_multi_line_label_across_a_chunk_boundary_names_its_line(self, tmp_path, first):
+        # The label's three lines straddle a chunk's last row; the id rule refuses it.
+        rows = [f"u,{i}\n" for i in range(self.CHUNK_ROWS + 2)]
+        rows[self.CHUNK_ROWS + first] = '"a\nb\nc",1\n'
+        path = self.write(tmp_path, rows)
+        line = self.CHUNK_ROWS + first + 4  # the header, then the label's three lines
+        cause = "user id 'a\\nb\\nc' holds a control character or line separator"
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: {cause}") + "$"):
+            read_table(path, self.HEADER, "table", labeled=True)
+
+    def test_fault_in_the_second_chunk_names_its_line(self, tmp_path):
+        rows = [f"u,{i}\n" for i in range(self.CHUNK_ROWS + 5)]
+        rows[self.CHUNK_ROWS + 2] = "u,oops\n"
+        path = self.write(tmp_path, rows)
+        line = self.CHUNK_ROWS + 4
+        cause = "could not convert string to float: 'oops'"
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: {cause}") + "$"):
+            read_table(path, self.HEADER, "table", labeled=True)
 
 
 class TestParseTimestamp:

@@ -315,7 +315,7 @@ class TestEventIO:
     @pytest.mark.parametrize(
         "row, cause",
         [
-            (",5,Drama,1.0", "event user_id must be non-empty"),
+            (",5,Drama,1.0", "user id must be non-empty"),
             ("u2,5, ; ,1.0", "event for 'u2' has no genres"),
             ("u2,inf,Drama,1.0", "event for 'u2' has non-finite timestamp"),
             ("u2,5,Drama,1.5", "watched_fraction must be in [0, 1], got 1.5"),
@@ -374,6 +374,10 @@ class TestReadEventsAgainstReference:
     """read_events against the row-by-row csv reader it replaced (tests/properties.py)."""
 
     HEADER = "user_id,timestamp,genres,watched_fraction\n"
+    CHUNK_ROWS = ioutil._CHUNK_BYTES // profiles._EVENT_DTYPE.itemsize  # rows per chunk
+
+    def test_chunk_budget_holds_16384_event_rows(self):
+        assert self.CHUNK_ROWS == 16384
 
     def test_property_matches_reference(self, tmp_path):
         check = functools.partial(check_read_events_matches_reference, tmp_path=tmp_path)
@@ -381,9 +385,9 @@ class TestReadEventsAgainstReference:
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_rows_around_a_chunk_boundary(self, tmp_path, offset):
-        n = ioutil._CHUNK_ROWS + offset
+        n = self.CHUNK_ROWS + offset
         rows = [f"u{i % 7},{i},{'Drama' if i % 2 else 'News;Sports'},0.5\n" for i in range(n)]
-        rows.insert(ioutil._CHUNK_ROWS // 2, "\n\r\n")  # blank lines count toward no chunk
+        rows.insert(self.CHUNK_ROWS // 2, "\n\r\n")  # blank lines count toward no chunk
         path = tmp_path / "events.csv"
         path.write_text(self.HEADER + "".join(rows), encoding="utf-8", newline="")
         assert len(gt.read_events(path)) == n
@@ -399,10 +403,10 @@ class TestReadEventsAgainstReference:
     @pytest.mark.parametrize("first", [-2, -1, 0])
     def test_quoted_multi_line_cell_across_a_chunk_boundary(self, tmp_path, first):
         # Rows first and first + 1 hold a three-line genres cell, so the lines of row
-        # _CHUNK_ROWS - 1 or _CHUNK_ROWS run past the line that would end a chunk of lines.
-        n = ioutil._CHUNK_ROWS + 2
+        # CHUNK_ROWS - 1 or CHUNK_ROWS run past the line that would end a chunk of lines.
+        n = self.CHUNK_ROWS + 2
         rows = [f"u{i % 3},{i},Drama,1\n" for i in range(n)]
-        for i in (ioutil._CHUNK_ROWS + first, ioutil._CHUNK_ROWS + first + 1):
+        for i in (self.CHUNK_ROWS + first, self.CHUNK_ROWS + first + 1):
             rows[i] = f'v,{i},"News;\nSports;\r\nDrama",0.25\n'
         path = tmp_path / "events.csv"
         path.write_text(self.HEADER + "".join(rows), encoding="utf-8", newline="")
@@ -411,11 +415,11 @@ class TestReadEventsAgainstReference:
         assert_reads_like_reference(path)
 
     def test_fault_in_a_later_chunk_names_its_line(self, tmp_path):
-        rows = [f"u,{i},Drama,1\n" for i in range(ioutil._CHUNK_ROWS + 5)]
-        rows[ioutil._CHUNK_ROWS + 2] = "u,1,Drama,2\n"
+        rows = [f"u,{i},Drama,1\n" for i in range(self.CHUNK_ROWS + 5)]
+        rows[self.CHUNK_ROWS + 2] = "u,1,Drama,2\n"
         path = tmp_path / "events.csv"
         path.write_text(self.HEADER + "".join(rows), encoding="utf-8", newline="")
-        line = ioutil._CHUNK_ROWS + 4
+        line = self.CHUNK_ROWS + 4
         with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: watched_fraction must be in [0, 1], got 2.0")):
             gt.read_events(path)
 
