@@ -348,14 +348,14 @@ def cmd_track(effective: dict) -> Writer:
             name, suffix = f"{base}_{suffix}.csv", suffix + 1
         names_taken.add(name)
         files.append((record, name))
+    ids = csv_cells(_check_user_id(record.user_id) for record, _ in files)
+    names = csv_cells(name for _, name in files)
 
     def write(outdir: Path) -> None:
         tracks_dir = outdir / "tracks"
         tracks_dir.mkdir(exist_ok=True)
         for record, name in files:
             write_track_record(record, space, tracks_dir / name)
-        ids = csv_cells(record.user_id for record, _ in files)
-        names = csv_cells(name for _, name in files)
         write_table(tracks_dir / "index.csv", ["user_id", "file"], "%s,%s\n", zip(ids, names))
         final_states = {record.user_id: record.final_state for record in records}
         write_final_states(final_states, space, outdir / "final_states.csv")

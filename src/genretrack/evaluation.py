@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .ioutil import csv_cells, fmt, write_table
+from .ioutil import _check_user_id, csv_cells, fmt, write_table
 from .profiles import ProfileSeries
 from .tracking import TrackRecord
 
@@ -245,7 +245,7 @@ def pooled_histogram(
 
 def write_report(pooled: PooledReport, path: str | Path) -> None:
     """Per-step CSV: one row per (user, step), NaN cosine marking skipped steps."""
-    cells = csv_cells(report.user_id for report in pooled.reports)
+    cells = csv_cells(_check_user_id(report.user_id) for report in pooled.reports)
     rows = (
         row
         for cell, report in zip(cells, pooled.reports)
@@ -266,7 +266,7 @@ def write_summary(pooled: PooledReport, path: str | Path) -> None:
         f"mean_rmse={fmt(pooled.mean_rmse)}",
     ]
     for report in pooled.reports:
-        prefix = f"user.{report.user_id}"
+        prefix = f"user.{_check_user_id(report.user_id)}"
         lines.append(f"{prefix}.n_steps={report.n_steps}")
         lines.append(f"{prefix}.n_skipped={report.n_skipped}")
         lines.append(f"{prefix}.mean_cosine={fmt(report.mean_cosine)}")

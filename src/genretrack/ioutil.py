@@ -149,11 +149,13 @@ def _parse_float(cell: str) -> float:
 _UNWRITABLE_ID = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]")
 
 
-def _check_user_id(user_id: str) -> None:
+def _check_user_id(user_id: str) -> str:
+    """``user_id`` if it can be written and read back, else ValueError naming it."""
     if not user_id:
         raise ValueError("user id must be non-empty")
     if _UNWRITABLE_ID.search(user_id):
         raise ValueError(f"user id {user_id!r} holds a control character or line separator")
+    return user_id
 
 
 def parse_timestamp(raw: str) -> float:

@@ -358,7 +358,7 @@ def read_events(path: str | Path) -> EventLog:
 
 def write_events(events: EventLog | Iterable[WatchEvent], path: str | Path) -> None:
     log = events if isinstance(events, EventLog) else EventLog.from_events(events)
-    users = csv_cells(log.user_ids)
+    users = csv_cells(map(_check_user_id, log.user_ids))
     sets = csv_cells(";".join(labels) for labels in log.genre_sets)
     rows = zip(
         map(users.__getitem__, log.user.tolist()),
@@ -377,7 +377,7 @@ def write_profiles(
     for user_id, ps in sorted(series.items()):
         if ps.d != space.d:
             raise ValueError(f"series for {user_id!r} has d={ps.d}, space has d={space.d}")
-    users = sorted(series)
+    users = sorted(map(_check_user_id, series))
     rows = (
         (cell, *row)
         for cell, user_id in zip(csv_cells(users), users)

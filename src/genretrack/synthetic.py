@@ -19,8 +19,9 @@ the generated data stays effectively linear.  Three regimes:
 Everything is driven by ``numpy.random.default_rng`` seeded through
 ``SeedSequence(seed, spawn_key=(user_index, stream))``, so output is a pure
 function of the config: same config, same bytes out, serial or parallel.
-Watch events are generated straight into the columns of an ``EventLog``, one
-categorical draw per user-day, with no per-event object.
+Users are drawn one stream at a time and then advanced together, one step a day.
+Watch events go straight into the columns of an ``EventLog``, with one uniform
+draw per user for all of that user's events and no per-event object.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import numpy as np
 from .ioutil import DAY_SECONDS
 from .profiles import EventLog, ProfileSeries
 from .space import ConceptSpace, new_space
-from .tracking import _transition_block
 
 __all__ = [
     "DAY_SECONDS",
@@ -141,57 +141,56 @@ def _user_rng(seed: int, user_index: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(user_index, stream)))
 
 
-def _simulate_user(config: ScenarioConfig, user_index: int) -> SimulatedUser:
-    d = config.d
-    rng = _user_rng(config.seed, user_index, 0)
-    A3 = _transition_block(T=1.0, alpha=1.0)
-    g = np.array([0.5, 1.0, 1.0])  # T=1 white-acceleration injection vector
-
-    sigma_a = math.sqrt(config.q_true)
-    sigma_z = math.sqrt(config.r_true)
-    kick_step = config.K // 2
-
-    # Per-axis kinematic rows: position, velocity, acceleration.
-    state = np.empty((d, 3))
-    state[:, 0] = rng.uniform(0.0, 1.0, d)
-    state[:, 1] = rng.normal(0.0, _INIT_KINEMATIC_SCALE * sigma_a, d)
-    state[:, 2] = rng.normal(0.0, _INIT_KINEMATIC_SCALE * sigma_a, d)
-
-    truth = np.empty((config.K, d))
-    observed = np.empty((config.K, d))
-    for k in range(config.K):
-        if k > 0:
-            if config.regime == "regime_change" and k == kick_step:
-                state[:, 1] += rng.normal(0.0, _KICK_SCALE, d)
-            accel_noise = rng.normal(0.0, sigma_a, d)
-            state = state @ A3.T + g[None, :] * accel_noise[:, None]
-            state[:, 0] = np.maximum(state[:, 0], 0.0)
-        truth[k] = state[:, 0]
-        z = state[:, 0] + rng.normal(0.0, sigma_z, d)
-        if config.regime == "bursty":
-            spike_scale = 5.0 * sigma_z if sigma_z > 0 else 0.05
-            mask = rng.random(d) < _SPIKE_PROB
-            spikes = rng.standard_t(2, d) * spike_scale
-            z = z + np.where(mask, spikes, 0.0)
-        observed[k] = np.maximum(z, 0.0)
-
-    instants = day_instants(config.K)
-    user_id = f"u{user_index:04d}"
-    return SimulatedUser(
-        user_id=user_id,
-        truth=ProfileSeries(user_id=user_id, instants=instants, profiles=truth),
-        observed=ProfileSeries(user_id=user_id, instants=instants.copy(), profiles=observed),
-    )
-
-
 def generate_users(config: ScenarioConfig) -> tuple[SimulatedUser, ...]:
     """Simulate every user, keeping both the latent truth and the observations.
 
     User i is driven by SeedSequence(seed, spawn_key=(i, 0)), so any one user
     can be regenerated without the others and adding users never changes
-    existing ones.
+    existing ones.  The draws never depend on the state, so each user's stream
+    is drawn first, then all users advance together, one step a day.
     """
-    return tuple(_simulate_user(config, i) for i in range(config.n_users))
+    N, K, d = config.n_users, config.K, config.d
+    sigma_a, sigma_z = math.sqrt(config.q_true), math.sqrt(config.r_true)
+    kick_step = K // 2 if config.regime == "regime_change" else None
+    spike_scale = 5.0 * sigma_z if sigma_z > 0 else 0.05
+
+    # Per-axis kinematic rows: position, velocity, acceleration.
+    state = np.empty((N, d, 3))
+    kick, accel_noise = np.zeros((N, d)), np.zeros((N, K, d))  # accel_noise[:, 0] unused
+    noise, spikes = np.empty((N, K, d)), np.zeros((N, K, d))
+    for i in range(N):
+        rng = _user_rng(config.seed, i, 0)
+        state[i, :, 0] = rng.uniform(0.0, 1.0, d)
+        state[i, :, 1] = rng.normal(0.0, _INIT_KINEMATIC_SCALE * sigma_a, d)
+        state[i, :, 2] = rng.normal(0.0, _INIT_KINEMATIC_SCALE * sigma_a, d)
+        for k in range(K):
+            if k > 0:
+                if k == kick_step:
+                    kick[i] = rng.normal(0.0, _KICK_SCALE, d)
+                accel_noise[i, k] = rng.normal(0.0, sigma_a, d)
+            noise[i, k] = rng.normal(0.0, sigma_z, d)
+            if config.regime == "bursty":
+                mask = rng.random(d) < _SPIKE_PROB
+                spikes[i, k] = np.where(mask, rng.standard_t(2, d) * spike_scale, 0.0)
+    # tracking._transition_block(T=1.0, alpha=1.0), written out so simulate loads no tracking.
+    A3 = np.array([[1.0, 1.0, 0.5], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+    g = np.array([0.5, 1.0, 1.0])  # T=1 white-acceleration injection vector
+    truth = np.empty((N, K, d))
+    for k in range(K):
+        if k > 0:
+            if k == kick_step:
+                state[:, :, 1] += kick
+            state = state @ A3.T + g * accel_noise[:, k, :, None]
+            state[:, :, 0] = np.maximum(state[:, :, 0], 0.0)
+        truth[:, k] = state[:, :, 0]
+    # (position + noise) + spikes: adding the spikes to the noise first changes the bytes.
+    observed = np.maximum(truth + noise + spikes, 0.0)
+
+    instants = day_instants(K)
+    return tuple(
+        SimulatedUser(u, ProfileSeries(u, instants.copy(), t), ProfileSeries(u, instants.copy(), z))
+        for u, t, z in zip((f"u{i:04d}" for i in range(N)), truth, observed)
+    )
 
 
 def generate_trajectories(config: ScenarioConfig) -> dict[str, ProfileSeries]:
@@ -212,17 +211,18 @@ def generate_events(
     ``programs_per_day`` single-genre events, more if needed to keep
     watched_fraction <= 1, each event's genre drawn categorically in
     proportion to the per-axis increment.  Days with no positive increment
-    produce no events.  Timestamps are integer seconds, evenly spread inside
-    the day, strictly before the day's snapshot instant.  Users are processed
-    in sorted id order with a per-index random stream, so the output is
-    deterministic in (trajectories, programs_per_day, seed).  The log's
-    tables hold only the users and genres that occur.
+    produce no events; one whose count overflows int64 raises ValueError.
+    Timestamps are integer seconds, evenly spread inside the day, strictly
+    before the day's snapshot instant.  Users are processed in sorted id order,
+    each with one uniform draw for all its events from a per-index stream, so
+    the output is deterministic in (trajectories, programs_per_day, seed).  The
+    log's tables hold only the users and genres that occur.
     """
     if programs_per_day < 1:
         raise ValueError(f"programs_per_day must be >= 1, got {programs_per_day}")
     user_ids = sorted(trajectories)
-    # Per user-day with events: user index, event count, fraction; per event: axis, timestamp.
-    user, counts, fractions, axes, timestamps = [], [], [], [], []
+    # Per user: event count; per event: axis, timestamp, fraction.
+    counts, axes, timestamps, fractions = [], [], [], []
     for index, user_id in enumerate(user_ids):
         Z = trajectories[user_id].profiles
         if Z.shape[1] != space.d:
@@ -231,28 +231,36 @@ def generate_events(
             )
         if np.any(Z < 0):
             raise ValueError(f"series for {user_id!r} has negative entries")
-        rng = _user_rng(seed, index, 1)
         deltas = np.maximum(np.concatenate([Z[:1], np.diff(Z, axis=0)]), 0.0)
-        for k, delta in enumerate(deltas):
-            total = float(delta.sum())
-            if total <= 0.0:
-                continue
-            n = max(programs_per_day, math.ceil(total))
-            user.append(index)
-            counts.append(n)
-            fractions.append(total / n)
-            axes.append(rng.choice(space.d, size=n, p=delta / total))
-            timestamps.append(k * DAY_SECONDS + np.arange(1, n + 1) * DAY_SECONDS // (n + 1))
+        with np.errstate(over="ignore"):  # an infinite total is refused below
+            totals = deltas.sum(axis=1)
+        days = np.flatnonzero(totals > 0.0)
+        ceils = np.ceil(totals[days])
+        for k in days[~(ceils < 2.0**63)][:1].tolist():  # checked before the int64 cast
+            raise ValueError(f"series for {user_id!r}: day {k} total {totals[k]:g} overflows int64")
+        n = np.maximum(ceils.astype(np.int64), programs_per_day)
+        # Each event's row among the event days, and its place 1..n within its day.
+        row = np.repeat(np.arange(days.size), n)
+        place = np.arange(1, row.size + 1) - (np.cumsum(n) - n)[row]
+        # rng.choice(d, n, p=delta/total) per day as numpy computes it, one uniform per event.
+        cdf = (deltas[days] / totals[days, None]).cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        u = _user_rng(seed, index, 1).random(row.size)
+        axes.append((cdf[row] <= u[:, None]).sum(axis=1))
+        timestamps.append(days[row] * DAY_SECONDS + place * DAY_SECONDS // (n[row] + 1))
+        fractions.append((totals[days] / n)[row])
+        counts.append(row.size)
     # Tables of the users and genres that occur, and codes into them.
-    users, user = np.unique(np.array(user, dtype=np.intp), return_inverse=True)
+    counts = np.array(counts, dtype=np.intp)
+    users = np.flatnonzero(counts)
     genres, genre_set = np.unique(np.concatenate([[], *axes]).astype(np.intp), return_inverse=True)
     return EventLog(
         user_ids=tuple(user_ids[i] for i in users.tolist()),
-        user=np.repeat(user, counts),
+        user=np.repeat(np.arange(users.size), counts[users]),
         timestamps=np.concatenate([[], *timestamps]),
         genre_sets=tuple((space.names[a],) for a in genres.tolist()),
         genre_set=genre_set,
-        fractions=np.repeat(fractions, counts),
+        fractions=np.concatenate([[], *fractions]),
     )
 
 

@@ -40,7 +40,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .ioutil import csv_cells, read_table, write_table
+from .ioutil import _check_user_id, csv_cells, read_table, write_table
 from .profiles import ProfileSeries
 from .space import ConceptSpace
 
@@ -657,7 +657,7 @@ def write_final_states(
     for user_id, state in sorted(states.items()):
         if state.d != space.d:
             raise ValueError(f"state for {user_id!r} has d={state.d}, space has d={space.d}")
-    users = sorted(states)
+    users = sorted(map(_check_user_id, states))
     rows = (
         (cell, *states[user_id].x_hat.tolist()) for cell, user_id in zip(csv_cells(users), users)
     )

@@ -18,7 +18,10 @@ import numpy as np
 import genretrack as gt
 from genretrack.ioutil import _check_user_id, csv_cells, parse_timestamp
 from genretrack.profiles import _EVENT_HEADER, _labels
-from genretrack.synthetic import DAY_SECONDS, _user_rng
+from genretrack.synthetic import (
+    _INIT_KINEMATIC_SCALE, _KICK_SCALE, _SPIKE_PROB, DAY_SECONDS, _user_rng, day_instants,
+)
+from genretrack.tracking import _transition_block
 
 
 def random_nonzero_vector(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -168,6 +171,82 @@ def check_fold_matches_reference(rng: np.random.Generator) -> None:
     for uid, (ref_instants, ref_profiles) in reference.items():
         assert np.array_equal(built[uid].instants, ref_instants)
         assert np.array_equal(built[uid].profiles, ref_profiles)
+
+
+def _reference_user(config: gt.ScenarioConfig, user_index: int) -> gt.SimulatedUser:
+    d = config.d
+    rng = _user_rng(config.seed, user_index, 0)
+    A3 = _transition_block(T=1.0, alpha=1.0)
+    g = np.array([0.5, 1.0, 1.0])  # T=1 white-acceleration injection vector
+
+    sigma_a = math.sqrt(config.q_true)
+    sigma_z = math.sqrt(config.r_true)
+    kick_step = config.K // 2
+
+    # Per-axis kinematic rows: position, velocity, acceleration.
+    state = np.empty((d, 3))
+    state[:, 0] = rng.uniform(0.0, 1.0, d)
+    state[:, 1] = rng.normal(0.0, _INIT_KINEMATIC_SCALE * sigma_a, d)
+    state[:, 2] = rng.normal(0.0, _INIT_KINEMATIC_SCALE * sigma_a, d)
+
+    truth = np.empty((config.K, d))
+    observed = np.empty((config.K, d))
+    for k in range(config.K):
+        if k > 0:
+            if config.regime == "regime_change" and k == kick_step:
+                state[:, 1] += rng.normal(0.0, _KICK_SCALE, d)
+            accel_noise = rng.normal(0.0, sigma_a, d)
+            state = state @ A3.T + g[None, :] * accel_noise[:, None]
+            state[:, 0] = np.maximum(state[:, 0], 0.0)
+        truth[k] = state[:, 0]
+        z = state[:, 0] + rng.normal(0.0, sigma_z, d)
+        if config.regime == "bursty":
+            spike_scale = 5.0 * sigma_z if sigma_z > 0 else 0.05
+            mask = rng.random(d) < _SPIKE_PROB
+            spikes = rng.standard_t(2, d) * spike_scale
+            z = z + np.where(mask, spikes, 0.0)
+        observed[k] = np.maximum(z, 0.0)
+
+    instants = day_instants(config.K)
+    user_id = f"u{user_index:04d}"
+    return gt.SimulatedUser(
+        user_id=user_id,
+        truth=gt.ProfileSeries(user_id=user_id, instants=instants, profiles=truth),
+        observed=gt.ProfileSeries(user_id=user_id, instants=instants.copy(), profiles=observed),
+    )
+
+
+def reference_users(config: gt.ScenarioConfig) -> tuple[gt.SimulatedUser, ...]:
+    """The one-user-one-day-at-a-time simulation that generate_users must match bit for bit.
+
+    Each user's state steps through the days on its own, drawing from its stream as it
+    goes: per day the regime_change kick, the acceleration noise, the observation noise,
+    then the bursty spike mask and spikes.
+    """
+    return tuple(_reference_user(config, i) for i in range(config.n_users))
+
+
+def check_users_match_reference(rng: np.random.Generator) -> None:
+    """generate_users gives the reference simulation's ids, instants, truth and observations."""
+    config = gt.ScenarioConfig(
+        d=int(rng.integers(1, 7)),
+        K=int(rng.integers(2, 9)),
+        n_users=int(rng.integers(1, 6)),
+        regime=str(rng.choice(gt.REGIMES)),
+        q_true=float(rng.choice([0.0, 1e-6, 1e-3, 0.1])),
+        r_true=float(rng.choice([0.0, 1e-4, 1e-2, 0.5])),
+        seed=int(rng.integers(0, 2**31)),
+    )
+    users = gt.generate_users(config)
+    reference = reference_users(config)
+    assert [u.user_id for u in users] == [u.user_id for u in reference]
+    for got, want in zip(users, reference):
+        for part in ("truth", "observed"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert a.user_id == b.user_id == got.user_id, config
+            assert np.array_equal(a.instants, b.instants), config
+            assert np.array_equal(a.profiles, b.profiles), config
+            assert np.array_equal(np.signbit(a.profiles), np.signbit(b.profiles)), config
 
 
 def reference_events(trajectories, space, programs_per_day=3, seed=0):

@@ -581,6 +581,13 @@ class TestLazyLoading:
             "genretrack", "genretrack.cli", "genretrack.ioutil", "genretrack.profiles", "genretrack.space"
         ]
 
+    def test_simulate_loads_no_pipeline_stage(self, tmp_path):
+        argv = ["simulate", "--d", "2", "--k", "3", "--users", "1", "--out", str(tmp_path / "o")]
+        assert command_modules(argv) == [
+            "genretrack", "genretrack.cli", "genretrack.ioutil", "genretrack.profiles",
+            "genretrack.space", "genretrack.synthetic",
+        ]
+
     def test_recommend_loads_neither_synthetic_nor_evaluation(self, pipeline, tmp_path):
         sim, built, tracked = pipeline["sim"], pipeline["built"], pipeline["tracked"]
         loaded = command_modules([

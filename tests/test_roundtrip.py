@@ -1,7 +1,8 @@
 """User ids that can be written read back exactly from every table the pipeline reads.
 
 Ids hold commas, quotes, ``;``, ``=``, edge whitespace and non-ASCII text.  An id with a
-line break or a control character is refused where it enters, naming the id.
+line break or a control character is refused where it enters, naming the id, and every
+writer refuses one before it opens its file.
 """
 
 import csv
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import genretrack as gt
-from genretrack import tracking
+from genretrack import profiles, tracking
 from genretrack.cli import main
 from properties import assert_same_log
 
@@ -119,3 +120,55 @@ def test_unwritable_id_in_a_hand_written_table_is_refused_naming_it(tmp_path, sp
             writer.writerows([header, *rows])
         with pytest.raises(ValueError, match=re.escape(str(path)) + r":\d+: " + cause + "$"):
             read(path, space)
+
+
+def _pooled(space, user_id):
+    series = series_of([user_id])[user_id]
+    record = gt.track_series(gt.build_model(d=space.d, q=1e-3, r=1e-2), series)
+    return gt.evaluate_many([record], {user_id: series})
+
+
+# Each writer of a table or text file that holds user ids, given one holding ``user_id``.
+WRITERS = {
+    "write_events": lambda space, user_id, path: gt.write_events(
+        gt.EventLog((user_id,), [0], [1.0], (("Drama",),), [0], [0.5]), path
+    ),
+    "write_profiles": lambda space, user_id, path: gt.write_profiles(
+        series_of(["u", user_id]), space, path
+    ),
+    "write_final_states": lambda space, user_id, path: gt.write_final_states(
+        {uid: gt.FilterState(np.zeros(3 * space.d), np.eye(3 * space.d)) for uid in ("u", user_id)},
+        space,
+        path,
+    ),
+    "write_report": lambda space, user_id, path: gt.write_report(_pooled(space, user_id), path),
+    "write_summary": lambda space, user_id, path: gt.write_summary(_pooled(space, user_id), path),
+}
+
+
+def _refusal(user_id):
+    return re.escape(f"user id {user_id!r} holds a control character or line separator")
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+@pytest.mark.parametrize("user_id", BAD_IDS)
+def test_writer_refuses_an_unwritable_id_and_leaves_no_file(tmp_path, space, writer, user_id):
+    # Only a library caller can hand a writer such an id: every reader refuses it.
+    path = tmp_path / "out"
+    with pytest.raises(ValueError, match=_refusal(user_id) + "$"):
+        WRITERS[writer](space, user_id, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("user_id", BAD_IDS)
+def test_track_refuses_an_unwritable_id_before_writing_its_index(
+    tmp_path, space, monkeypatch, capsys, user_id
+):
+    # read_profiles refuses such an id, so track is handed the series past it.
+    monkeypatch.setattr(profiles, "read_profiles", lambda path, space: series_of(["u", user_id]))
+    gt.write_vocabulary(space, tmp_path / "vocabulary.txt")
+    out = tmp_path / "tracked"
+    argv = ["track", "--vocabulary", str(tmp_path / "vocabulary.txt"), "--profiles", "unread.csv"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert re.fullmatch(f"genretrack track: error: {_refusal(user_id)}\n", capsys.readouterr().err)
+    assert not out.exists()

@@ -1,8 +1,14 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
 import genretrack as gt
-from properties import assert_same_log, check_events_match_reference, run_many
+from genretrack.cli import main
+from properties import (
+    assert_same_log, check_events_match_reference, check_users_match_reference, run_many,
+)
 
 
 class TestScenarioConfig:
@@ -105,6 +111,42 @@ class TestTrajectories:
             assert np.array_equal(series[u.user_id].instants, data.instants)
 
 
+    def test_seeded_reference_sweep(self):
+        # all regimes, q_true and r_true including 0, d 1-6, K 2-8 and 1-5 users
+        assert run_many(check_users_match_reference, 200, seed=707) == 200
+
+
+# sha256 of what `simulate --d 5 --k 12 --users 4 --regime R --seed 3` writes, recorded
+# before the generator was vectorized.  The benchmark's inputs come from this generator,
+# so any change to its bytes must show here and be recorded on purpose.
+GOLDEN = {
+    "smooth_drift": {
+        "events.csv": "b5a1c76ad2c224ff84c0e0c071a50b2aacaf3dd857b63c3ab4ab67850773476a",
+        "profiles.csv": "7943e520f30533117146013a21a042bfe548bedb79565e645714667b98415022",
+        "truth.csv": "d056bff1ad3785fde24ec6d4e14d2bf72155b16aa8a8ebdc632a7826ee113492",
+    },
+    "regime_change": {
+        "events.csv": "ff55dba86b7acc2d1e3cb3e6e9b9de15ebc5ee8903d415fcb6b7b83042ef1585",
+        "profiles.csv": "b3adcff4615e028d5d1d9c7db60d220266289c46bdcae4199d76c2ec4f3c3b85",
+        "truth.csv": "5690d8d1d3a8a7881dc84ae81261410abf59a7fafd4591cbc5d1a1a947d689f3",
+    },
+    "bursty": {
+        "events.csv": "58983f09f4735b3e5187a9c0a508a3be025f2952e39bb11a7adf41bd7500afcd",
+        "profiles.csv": "192b68959bf23bba1f3b06ca7170a1cb07365399ebfa443779c8a4152812d2d1",
+        "truth.csv": "1460262c6e67650cfea4019da66abcd4946022550484b0871217af060b4608ca",
+    },
+}
+
+
+@pytest.mark.parametrize("regime", sorted(GOLDEN))
+def test_simulate_writes_the_golden_bytes(tmp_path, regime):
+    argv = ["simulate", "--d", "5", "--k", "12", "--users", "4", "--programs-per-day", "3",
+            "--regime", regime, "--seed", "3", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    for name, digest in GOLDEN[regime].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 class TestDayInstants:
     def test_end_of_day_snapshots(self):
         instants = gt.day_instants(3)
@@ -205,6 +247,31 @@ class TestGenerateEvents:
                     continue
                 worst = max(worst, gt.cosine_distance(a, b))
         assert worst < 0.2
+
+    @pytest.mark.parametrize(
+        "last_day, total",
+        [([1e19, 1e19], "2e+19"), ([2.0**62, 2.0**62], "9.22337e+18"), ([1e308, 1e308], "inf")],
+    )
+    def test_day_total_beyond_int64_names_user_and_day(self, last_day, total):
+        # no RuntimeWarning either: the suite turns warnings into errors
+        space = gt.new_space(["a", "b"])
+        profiles = np.array([[0.5, 0.5], [0.5, 0.5], last_day])
+        series = {
+            "fine": gt.ProfileSeries("fine", gt.day_instants(3), np.ones((3, 2))),
+            "big": gt.ProfileSeries("big", gt.day_instants(3), profiles),
+        }
+        message = f"series for 'big': day 2 total {total} overflows int64"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            gt.generate_events(series, space, programs_per_day=3, seed=0)
+
+    def test_simulate_with_overflowing_day_totals_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["simulate", "--q-true", "1e200", "--d", "4", "--k", "5", "--users", "2",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        cause = r"series for 'u000\d': day \d+ total \S+ overflows int64"
+        assert re.fullmatch(f"genretrack simulate: error: {cause}\n", err), err
+        assert not out.exists()
 
     def test_programs_per_day_validation(self):
         space = gt.new_space(["a"])
