@@ -323,7 +323,7 @@ def cmd_build_profiles(effective: dict) -> Writer:
 def cmd_track(effective: dict) -> Writer:
     from .profiles import read_profiles
     from .space import read_vocabulary
-    from .tracking import build_model, track_users, write_final_states, write_track_record
+    from .tracking import build_model, track_users, write_final_states, write_track_records
     space = read_vocabulary(effective["vocabulary"])
     series_by_user = read_profiles(effective["profiles"], space)
     if not series_by_user:
@@ -354,9 +354,9 @@ def cmd_track(effective: dict) -> Writer:
     def write(outdir: Path) -> None:
         tracks_dir = outdir / "tracks"
         tracks_dir.mkdir(exist_ok=True)
-        for record, name in files:
-            write_track_record(record, space, tracks_dir / name)
-        write_table(tracks_dir / "index.csv", ["user_id", "file"], "%s,%s\n", zip(ids, names))
+        write_track_records(records, space, [tracks_dir / name for _, name in files])
+        codes = np.arange(len(files))
+        write_table(tracks_dir / "index.csv", ["user_id", "file"], [(ids, codes), (names, codes)])
         final_states = {record.user_id: record.final_state for record in records}
         write_final_states(final_states, space, outdir / "final_states.csv")
 

@@ -17,7 +17,6 @@ that step's observation, so every metric here is out-of-sample:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -245,13 +244,14 @@ def pooled_histogram(
 
 def write_report(pooled: PooledReport, path: str | Path) -> None:
     """Per-step CSV: one row per (user, step), NaN cosine marking skipped steps."""
-    cells = csv_cells(_check_user_id(report.user_id) for report in pooled.reports)
-    rows = (
-        row
-        for cell, report in zip(cells, pooled.reports)
-        for row in zip(repeat(cell), report.steps.tolist(), report.per_step_cosine.tolist())
-    )
-    write_table(path, ["user_id", "step", "cosine_distance"], "%s,%d,%.17g\n", rows)
+    reports = pooled.reports
+    cells = csv_cells(_check_user_id(report.user_id) for report in reports)
+    columns = [
+        (cells, np.repeat(np.arange(len(reports)), [report.n_steps for report in reports])),
+        np.concatenate([np.empty(0, dtype=int), *(report.steps for report in reports)]),
+        np.concatenate([[], *(report.per_step_cosine for report in reports)]),
+    ]
+    write_table(path, ["user_id", "step", "cosine_distance"], columns)
 
 
 def write_summary(pooled: PooledReport, path: str | Path) -> None:
@@ -279,5 +279,4 @@ def write_summary(pooled: PooledReport, path: str | Path) -> None:
 def write_histogram(pooled: PooledReport, path: str | Path, bin_width: float = 0.05) -> None:
     """Pooled cosine-distance histogram as CSV rows (bin_lo, bin_hi, count)."""
     edges, counts = pooled_histogram(pooled, bin_width)
-    rows = zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist())
-    write_table(path, ["bin_lo", "bin_hi", "count"], "%.17g,%.17g,%d\n", rows)
+    write_table(path, ["bin_lo", "bin_hi", "count"], [edges[:-1], edges[1:], counts])

@@ -1,24 +1,26 @@
 """Small shared helpers for deterministic text I/O and timestamp parsing.
 
-CSV tables are written whole rows at a time; ``%.17g`` prints what :func:`fmt` prints.
-Every table is read back by :func:`read_rows`: numpy's C tokenizer parses chunks of rows
-streamed from the file, and on a fault one ``csv`` pass names the faulty row.
+Every CSV table is written by :func:`write_table`, column-wise, a bounded block of rows at a
+time, each distinct float of a block formatted once as :func:`fmt` formats it.  Every table
+is read back by :func:`read_rows`: numpy's C tokenizer parses chunks of rows streamed from
+the file, and on a fault one ``csv`` pass names the faulty row.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import re
 from contextlib import contextmanager
 from datetime import datetime, timezone
-from itertools import chain, filterfalse
+from itertools import chain, filterfalse, groupby, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 __all__ = [
-    "DAY_SECONDS", "fmt", "csv_cells", "write_table", "read_rows", "read_table",
+    "DAY_SECONDS", "fmt", "csv_cells", "write_table", "write_tables", "read_rows", "read_table",
     "parse_timestamp", "safe_filename",
 ]
 
@@ -26,6 +28,8 @@ DAY_SECONDS = 86400  # epoch seconds per UTC day
 # numpy allocates a chunk's rows up front, so a chunk holds as many rows as fit this many
 # bytes: 16384 of the event log's 32-byte rows, fewer of a wide numeric table.
 _CHUNK_BYTES = 1 << 19
+# write_table formats and writes about this many cells at a time.
+_BLOCK_CELLS = 1 << 12
 # csv's field size limit (131072 characters by default) while read_rows runs: any cell
 # numpy reads, csv reads too when it looks for a faulty row.
 _FIELD_LIMIT = (1 << 31) - 1
@@ -52,11 +56,68 @@ def csv_cells(values: Iterable[str]) -> list[str]:
     return [writer.writerow([value, ""])[:-2] for value in values]
 
 
-def write_table(path: str | Path, header: Sequence[str], row_format: str, rows: Iterable) -> None:
-    """Write ``header``, then ``row_format % row`` per row; strings come quoted by csv_cells."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
-        fh.writelines(row_format % row for row in rows)
+def write_table(path, header: Sequence[str], columns: Sequence, sizes=None) -> None:
+    """Write ``header``, then row i of every column, to ``path``; or, given ``sizes``,
+    to each path of ``path`` in turn, under its own header, its size of the next rows.
+
+    A column is a float array, 1-D or with a cell per column, printed as ``fmt`` prints;
+    an int array, printed in decimal; or (``csv_cells`` texts, int array of row codes).
+    """
+    columns = [c[:, None] if getattr(c, "ndim", 2) == 1 else c for c in columns]
+    n = len(columns[0][1] if isinstance(columns[0], tuple) else columns[0])
+    width = sum(1 if isinstance(c, tuple) else c.shape[1] for c in columns)
+    step = max(1, _BLOCK_CELLS // width)
+    rows = chain.from_iterable(_row_blocks(columns, n, step))
+    for path, size in zip(*(([path], [n]) if sizes is None else (path, sizes))):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerow(header)
+            for lo in range(0, size, step):
+                fh.writelines(("\n".join(islice(rows, min(step, size - lo))), "\n"))
+
+
+def write_tables(paths: Sequence, header: Sequence[str], parts: Sequence[Sequence]) -> None:
+    """Write each part, a list of array columns as :func:`write_table` takes them, to its
+    path; consecutive parts are stacked into one table, about a block of cells at a time."""
+    sizes = [len(part[0]) for part in parts]
+    width = sum(math.prod(c.shape[1:]) for c in parts[0]) if parts else 1
+    blocks = np.cumsum(sizes, dtype=int) * width // _BLOCK_CELLS
+    for _, group in groupby(zip(parts, paths, sizes, blocks), key=lambda item: item[3]):
+        chosen, files, counts, _ = zip(*group)
+        write_table(files, header, [np.concatenate(column) for column in zip(*chosen)], counts)
+
+
+def _row_blocks(columns: Sequence, n: int, step: int) -> Iterator[list[str]]:
+    """The ``n`` rows of ``columns``, ``step`` at a time.  A block formats each distinct
+    float once, told apart by bit pattern so that ``-0.0`` is not ``0.0``, and reuses
+    the text of one that the block before held too."""
+    # The texts of the block before, sorted by bit pattern; at first just 0.0, printed "0".
+    seen, seen_texts = np.zeros(1, dtype=np.int64), np.array(["0"], dtype=object)
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        floats = [c[lo:hi] for c in columns if not isinstance(c, tuple) and c.dtype.kind == "f"]
+        block = np.hstack([np.empty((hi - lo, 0)), *floats], dtype=float)
+        bits = block.ravel().view(np.int64)
+        # np.unique's work by the stable sort, which the commands already load: numpy's
+        # default sort would map 0.5 MB more of its library into memory.
+        order = bits.argsort(kind="stable")
+        new = np.diff(bits[order], prepend=~bits[order[:1]]) != 0
+        distinct, inverse = bits[order][new], np.empty_like(order)
+        inverse[order] = np.cumsum(new) - 1
+        at = np.minimum(np.searchsorted(seen, distinct), seen.size - 1)
+        fresh, texts = seen[at] != distinct, seen_texts[at]
+        values = distinct[fresh].view(float).tolist()
+        texts[fresh] = ((",%.17g" * len(values)) % tuple(values)).split(",")[1:]
+        seen, seen_texts = distinct, texts
+        cells = iter(texts[inverse.reshape(block.shape)].T.tolist())
+        lists = []
+        for c in columns:
+            if isinstance(c, tuple):
+                lists.append(list(map(c[0].__getitem__, c[1][lo:hi].tolist())))
+            elif c.dtype.kind == "f":
+                lists.extend(islice(cells, c.shape[1]))
+            else:
+                lists.append(list(map(str, c[lo:hi, 0].tolist())))
+        yield list(map(",".join, zip(*lists)))
 
 
 @contextmanager

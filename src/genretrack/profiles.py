@@ -15,6 +15,7 @@ bit-identical to folding one event at a time.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -65,13 +66,18 @@ class WatchEvent:
             raise ValueError(f"watched_fraction must be in [0, 1], got {self.watched_fraction!r}")
 
 
-def _sort_table(table: Iterable, codes) -> tuple[tuple, np.ndarray]:
-    """The table sorted, and the codes into it recoded to match."""
+def _sort_table(name: str, table: Iterable, codes) -> tuple[tuple, np.ndarray]:
+    """The table sorted, and the codes into it recoded to match; errors name the table."""
     table = tuple(table)
     codes = np.asarray(codes, dtype=np.intp)
-    in_range = np.all((codes >= 0) & (codes < len(table)))
-    if len(set(table)) < len(table) or not all(table) or not in_range:
-        raise ValueError("event log table has a blank or repeated entry, or a code outside it")
+    repeated = [entry for entry, count in Counter(table).items() if count > 1]
+    outside = codes[(codes < 0) | (codes >= len(table))]
+    if not all(table):
+        raise ValueError(f"event log {name} has a blank entry {next(e for e in table if not e)!r}")
+    if repeated:
+        raise ValueError(f"event log {name} holds {repeated[0]!r} twice")
+    if outside.size:
+        raise ValueError(f"event log code {outside[0]} is outside {name} (size {len(table)})")
     order = sorted(range(len(table)), key=table.__getitem__)
     recode = np.empty(len(table), dtype=np.intp)
     recode[order] = np.arange(len(table))
@@ -96,9 +102,9 @@ class EventLog:
     fractions: np.ndarray
 
     def __post_init__(self) -> None:
-        user_ids, user = _sort_table(self.user_ids, self.user)
+        user_ids, user = _sort_table("user_ids", self.user_ids, self.user)
         sets = (tuple(sorted(labels)) for labels in self.genre_sets)
-        genre_sets, genre_set = _sort_table(sets, self.genre_set)
+        genre_sets, genre_set = _sort_table("genre_sets", sets, self.genre_set)
         timestamps = np.asarray(self.timestamps, dtype=float).view()
         fractions = np.asarray(self.fractions, dtype=float).view()
         columns = dict(user=user, timestamps=timestamps, genre_set=genre_set, fractions=fractions)
@@ -360,13 +366,8 @@ def write_events(events: EventLog | Iterable[WatchEvent], path: str | Path) -> N
     log = events if isinstance(events, EventLog) else EventLog.from_events(events)
     users = csv_cells(map(_check_user_id, log.user_ids))
     sets = csv_cells(";".join(labels) for labels in log.genre_sets)
-    rows = zip(
-        map(users.__getitem__, log.user.tolist()),
-        log.timestamps.tolist(),
-        map(sets.__getitem__, log.genre_set.tolist()),
-        log.fractions.tolist(),
-    )
-    write_table(path, _EVENT_HEADER, "%s,%.17g,%s,%.17g\n", rows)
+    columns = [(users, log.user), log.timestamps, (sets, log.genre_set), log.fractions]
+    write_table(path, _EVENT_HEADER, columns)
 
 
 def write_profiles(
@@ -378,13 +379,13 @@ def write_profiles(
         if ps.d != space.d:
             raise ValueError(f"series for {user_id!r} has d={ps.d}, space has d={space.d}")
     users = sorted(map(_check_user_id, series))
-    rows = (
-        (cell, *row)
-        for cell, user_id in zip(csv_cells(users), users)
-        for row in np.column_stack([series[user_id].instants, series[user_id].profiles]).tolist()
-    )
-    header = ["user_id", "instant", *space.names]
-    write_table(path, header, "%s" + ",%.17g" * (space.d + 1) + "\n", rows)
+    chosen = [series[user_id] for user_id in users]
+    columns = [
+        (csv_cells(users), np.repeat(np.arange(len(users)), [ps.n_instants for ps in chosen])),
+        np.concatenate([[], *(ps.instants for ps in chosen)]),
+        np.concatenate([np.empty((0, space.d)), *(ps.profiles for ps in chosen)]),
+    ]
+    write_table(path, ["user_id", "instant", *space.names], columns)
 
 
 def read_profiles(path: str | Path, space: ConceptSpace) -> dict[str, ProfileSeries]:

@@ -211,7 +211,8 @@ def generate_events(
     ``programs_per_day`` single-genre events, more if needed to keep
     watched_fraction <= 1, each event's genre drawn categorically in
     proportion to the per-axis increment.  Days with no positive increment
-    produce no events; one whose count overflows int64 raises ValueError.
+    produce no events; one whose count overflows int64, or whose events cannot be
+    allocated, raises ValueError.
     Timestamps are integer seconds, evenly spread inside the day, strictly
     before the day's snapshot instant.  Users are processed in sorted id order,
     each with one uniform draw for all its events from a per-index stream, so
@@ -240,7 +241,12 @@ def generate_events(
             raise ValueError(f"series for {user_id!r}: day {k} total {totals[k]:g} overflows int64")
         n = np.maximum(ceils.astype(np.int64), programs_per_day)
         # Each event's row among the event days, and its place 1..n within its day.
-        row = np.repeat(np.arange(days.size), n)
+        try:  # numpy's own refusal of a size it cannot allocate names no day
+            row = np.repeat(np.arange(days.size), n)
+        except (ValueError, MemoryError):
+            k = int(np.argmax(n))
+            cause = f"day {days[k]} has {n[k]} events, more than can be allocated"
+            raise ValueError(f"series for {user_id!r}: {cause}") from None
         place = np.arange(1, row.size + 1) - (np.cumsum(n) - n)[row]
         # rng.choice(d, n, p=delta/total) per day as numpy computes it, one uniform per event.
         cdf = (deltas[days] / totals[days, None]).cumsum(axis=1)

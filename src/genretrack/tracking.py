@@ -40,7 +40,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .ioutil import _check_user_id, csv_cells, read_table, write_table
+from .ioutil import _check_user_id, csv_cells, read_table, write_table, write_tables
 from .profiles import ProfileSeries
 from .space import ConceptSpace
 
@@ -61,6 +61,7 @@ __all__ = [
     "track_users",
     "read_track_record",
     "write_track_record",
+    "write_track_records",
     "read_final_states",
     "write_final_states",
 ]
@@ -638,12 +639,17 @@ def _track_header(space: ConceptSpace) -> list[str]:
 
 
 def write_track_record(record: TrackRecord, space: ConceptSpace, path: str | Path) -> None:
-    d = record.predicted.shape[1]
-    if d != space.d:
+    write_track_records([record], space, [path])
+
+
+def write_track_records(
+    records: Sequence[TrackRecord], space: ConceptSpace, paths: Sequence[str | Path]
+) -> None:
+    """Record i to ``paths[i]``, the records stacked into one table a block at a time."""
+    for d in (r.predicted.shape[1] for r in records if r.predicted.shape[1] != space.d):
         raise ValueError(f"record dimension {d} does not match space d={space.d}")
-    columns = [record.predicted, record.innovations, record.gain_norms, record.p_traces]
-    rows = zip(record.steps.tolist(), *np.column_stack(columns).T.tolist())
-    write_table(path, _track_header(space), "%d" + ",%.17g" * (2 * d + 2) + "\n", rows)
+    parts = [(r.steps, r.predicted, r.innovations, r.gain_norms, r.p_traces) for r in records]
+    write_tables(paths, _track_header(space), parts)
 
 
 def _final_state_header(space: ConceptSpace) -> list[str]:
@@ -658,10 +664,9 @@ def write_final_states(
         if state.d != space.d:
             raise ValueError(f"state for {user_id!r} has d={state.d}, space has d={space.d}")
     users = sorted(map(_check_user_id, states))
-    rows = (
-        (cell, *states[user_id].x_hat.tolist()) for cell, user_id in zip(csv_cells(users), users)
-    )
-    write_table(path, _final_state_header(space), "%s" + ",%.17g" * (3 * space.d) + "\n", rows)
+    x_hats = np.reshape([states[user_id].x_hat for user_id in users], (-1, 3 * space.d))
+    columns = [(csv_cells(users), np.arange(len(users))), x_hats]
+    write_table(path, _final_state_header(space), columns)
 
 
 def read_final_states(path: str | Path, space: ConceptSpace) -> dict[str, np.ndarray]:

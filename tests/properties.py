@@ -12,6 +12,7 @@ import csv
 import math
 from array import array
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -440,6 +441,16 @@ def check_read_events_matches_reference(rng: np.random.Generator, tmp_path: Path
     path = tmp_path / "events.csv"
     path.write_text("".join(lines), encoding="utf-8", newline="")
     assert_reads_like_reference(path)
+
+
+def reference_write_table(path, header: Sequence[str], row_format: str, rows: Iterable) -> None:
+    """Write ``header``, then ``row_format % row`` per row; strings come quoted by csv_cells.
+
+    The writer every table went through before the column-wise one, kept as its reference.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.writelines(row_format % row for row in rows)
 
 
 def run_many(check, n_cases: int, seed: int) -> int:

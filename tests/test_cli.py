@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import shutil
@@ -672,3 +673,74 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert (out / "simulate.manifest.txt").is_file()
+
+
+# sha256 of every file build-profiles, track, recommend and evaluate write from the inputs
+# of `simulate --d 5 --k 12 --users 4 --programs-per-day 3 --regime R --seed 3`, recorded
+# before the writers became column-wise: a writer that changes one byte fails here.
+PIPELINE_GOLDEN = {
+    "smooth_drift": {
+        "built/build-profiles.manifest.txt": "d382aeaa64c29ac70108a5b2d72e553c4357b3808207b696c23945bab3eea213",
+        "built/built_profiles.csv": "4642f6c50f5114cff92da15c555b5d22deb83c055bbf09be219e5bbf6f587541",
+        "evaluated/evaluate.manifest.txt": "b734847e237293cdbc0417416b0957a594b74665c8ef723835a09031d4177b90",
+        "evaluated/histogram.csv": "36ac8d52ee6cf9ee506c306d8a6521d67e7e27bf0d93e9ec6e47609ac4b127fd",
+        "evaluated/report.csv": "d4baacf6c0c7496682aefb1428e39bc042e801698f59b2757118035a32c9fad7",
+        "evaluated/summary.txt": "fbedbac5790098c204d58dc9951d1761bdbf8d0dde2afff319cd6b2cf14637bc",
+        "recommended/recommend.manifest.txt": "2af72c3a754baf5054ae9c815cefc38fc1f8867916d0601c9a58b7b9585d0c54",
+        "recommended/recommendations.jsonl": "09ead55c49febc7bf8d02f9323abb89614f340284aee76496a85b9b17f902d1a",
+        "tracked/final_states.csv": "abfefb734c09d5c2aee922dfe8fb4bfe00fa36082d7b68734733078b0df3b8f8",
+        "tracked/track.manifest.txt": "24c0720c8b3415d10718f2f9fc15d498421986ced887b23c124a6c9421ad779d",
+        "tracked/tracks/index.csv": "06f92e4f586b71ea3e79c858b55a0cdc4d07a7d134287eb66594fe75887e5b59",
+        "tracked/tracks/u0000.csv": "1081fa2b6474075ae6084881b688cfe9d01c61af8fb1acf5d29d02db8bbbadd9",
+        "tracked/tracks/u0001.csv": "8428db9cc5490b15501fdc306efe63cfd965f9395abad0153013202ef213b9ab",
+        "tracked/tracks/u0002.csv": "1b56cb98fae597bd1efe7896d47ad829351bdf37336b3166cb1409a5a75ab2a7",
+        "tracked/tracks/u0003.csv": "bd15e8f47510353e911dd56e6f6454253cc8ec571dcaa549328339fd54de8238",
+    },
+    "bursty-decay": {
+        "built/build-profiles.manifest.txt": "c4e6a722bdaf1a3aff9f0268a5d3fb43534edff7230979a644c9035a85d88cc2",
+        "built/built_profiles.csv": "a116b16416805ee3a34a31695ba8e6fe219d528fb959a9743e97c12d7b83c619",
+        "evaluated/evaluate.manifest.txt": "b734847e237293cdbc0417416b0957a594b74665c8ef723835a09031d4177b90",
+        "evaluated/histogram.csv": "d5d48a702afd235d857a4510367cfd85d375dfaa1a2647ab80420d4829d25b91",
+        "evaluated/report.csv": "de1b966c43b22982af96b90807b115738b1ef94a13106633e6b7b3369194a240",
+        "evaluated/summary.txt": "db2173ee2b179b6cf70c61bc7e5eeb5c89d74ff4ffce06dd1860261ff0a36080",
+        "recommended/recommend.manifest.txt": "2af72c3a754baf5054ae9c815cefc38fc1f8867916d0601c9a58b7b9585d0c54",
+        "recommended/recommendations.jsonl": "aae349af16a11ea57156b8db2a3259fac22516222d36deba8eb0e882506d7082",
+        "tracked/final_states.csv": "733bd618c9d29ec5b4a68d8085bb718f7ebf3d400ad1849929f345d736eb6e02",
+        "tracked/track.manifest.txt": "24c0720c8b3415d10718f2f9fc15d498421986ced887b23c124a6c9421ad779d",
+        "tracked/tracks/index.csv": "06f92e4f586b71ea3e79c858b55a0cdc4d07a7d134287eb66594fe75887e5b59",
+        "tracked/tracks/u0000.csv": "0cd04653cfb4aee552b457746a29bf0af0a2e65d85518f1e75dc243e4b0c07f9",
+        "tracked/tracks/u0001.csv": "6d457ab8844c2bdadd45a891eecc873f134989978c2ff458349da2492f71b0d2",
+        "tracked/tracks/u0002.csv": "aa3f007c9c84a708bea74923030e1a4841d0cf63a010c3f6569b0ebac1a81b35",
+        "tracked/tracks/u0003.csv": "da686580d19cd2b6519dd7a113a8b1a1467e8949aed005c0a55d545619cc364f",
+    },
+}
+PIPELINE_CASES = {
+    "smooth_drift": ("smooth_drift", []),
+    "bursty-decay": ("bursty", ["--decay", "0.9", "--normalize"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PIPELINE_GOLDEN))
+def test_pipeline_writes_the_golden_bytes(tmp_path, case):
+    regime, fold = PIPELINE_CASES[case]
+    sim = tmp_path / "in"
+    assert main(["simulate", "--d", "5", "--k", "12", "--users", "4", "--programs-per-day", "3",
+                 "--regime", regime, "--seed", "3", "--out", str(sim)]) == 0
+    vocabulary = ["--vocabulary", str(sim / "vocabulary.txt")]
+    built = str(tmp_path / "built" / "built_profiles.csv")
+    events = ["--events", str(sim / "events.csv")]
+    for argv in (
+        ["build-profiles", *events, "--instants", str(sim / "instants.txt"), *fold, "--out", "built"],
+        ["track", "--profiles", built, "--out", "tracked"],
+        ["recommend", "--final-states", str(tmp_path / "tracked" / "final_states.csv"),
+         "--profiles", built, *events, "--out", "recommended"],
+        ["evaluate", "--profiles", built, "--tracks", str(tmp_path / "tracked" / "tracks"),
+         "--out", "evaluated"],
+    ):
+        assert main([argv[0], *vocabulary, *argv[1:-1], str(tmp_path / argv[-1])]) == 0
+    digests = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.rglob("*"))
+        if path.is_file() and path.relative_to(tmp_path).parts[0] != "in"
+    }
+    assert digests == PIPELINE_GOLDEN[case]

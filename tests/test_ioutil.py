@@ -3,16 +3,18 @@ import io
 import math
 import re
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genretrack import ioutil
 from genretrack.ioutil import (
     csv_cells, fmt, parse_timestamp, read_table, safe_filename, write_table
 )
+from properties import reference_write_table
 
 
 class TestFmt:
@@ -66,19 +68,72 @@ class TestCsvCells:
         assert ",".join(csv_cells(row)) + "\n" == csv_writer_line(row)
 
 
+def text_column(texts):
+    """A write_table text column giving each of ``texts`` to one row, in order."""
+    return csv_cells(texts), np.arange(len(texts))
+
+
 class TestWriteTable:
     def test_header_then_rows(self, tmp_path):
         path = tmp_path / "t.csv"
         header = ["user_id", "a,b", 'q"uote']
-        rows = [(*csv_cells(["u,1"]), 3, -0.0), (*csv_cells(["é"]), 4, 0.1)]
-        write_table(path, header, "%s,%d,%.17g\n", rows)
+        write_table(path, header, [text_column(["u,1", "é"]), np.array([3, 4]), np.array([-0.0, 0.1])])
         expected = csv_writer_line(header)
         expected += csv_writer_line(["u,1", 3, fmt(-0.0)]) + csv_writer_line(["é", 4, fmt(0.1)])
         assert path.read_bytes() == expected.encode("utf-8")
 
     def test_no_rows(self, tmp_path):
-        write_table(tmp_path / "t.csv", ["a", "b"], "%s,%s\n", [])
+        write_table(tmp_path / "t.csv", ["a", "b"], [text_column([]), text_column([])])
         assert (tmp_path / "t.csv").read_text(encoding="utf-8") == "a,b\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bytes_equal_the_row_at_a_time_reference(self, tmp_path_factory, data):
+        """Repeats, 1-ulp neighbours, signed zeros, subnormals, extremes, NaN payloads;
+        int, 1-D and 2-D float columns; any row count about block boundaries; files split."""
+        pool = data.draw(st.lists(st.one_of(st.floats(), st.sampled_from(SPECIAL)), min_size=1, max_size=6))
+        pool += [math.nextafter(x, math.inf) for x in pool]
+        block = data.draw(st.sampled_from([1, 2, 3, 7, 16, ioutil._BLOCK_CELLS]))
+        n, k = data.draw(st.integers(0, 30)), data.draw(st.integers(0, 3))
+        floats = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n * (k + 1), max_size=n * (k + 1))))
+        floats = floats.reshape(n, k + 1)
+        ints = np.array(data.draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n)), dtype=np.int64)
+        texts = csv_cells(data.draw(st.lists(st.text(max_size=4), min_size=1, max_size=4)))
+        codes = np.array(data.draw(st.lists(st.integers(0, len(texts) - 1), min_size=n, max_size=n)), dtype=np.intp)
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=3)))
+        sizes = np.diff([0, *cuts, n]).tolist()
+
+        folder = tmp_path_factory.mktemp("tables")
+        header = ["user_id", "i", "x", *(f"y{j}" for j in range(k))]
+        columns = [(texts, codes), ints, floats[:, 0].copy(), floats[:, 1:].copy()]
+        paths = [folder / f"new{j}.csv" for j in range(len(sizes))]
+        with patch.object(ioutil, "_BLOCK_CELLS", block):
+            write_table(folder / "new.csv", header, columns)
+            write_table(paths, header, columns, sizes)
+        rows = [(texts[c], i, *x) for c, i, x in zip(codes.tolist(), ints.tolist(), floats.tolist())]
+        row_format = "%s,%d" + ",%.17g" * (k + 1) + "\n"
+        reference_write_table(folder / "ref.csv", header, row_format, rows)
+        assert (folder / "new.csv").read_bytes() == (folder / "ref.csv").read_bytes()
+        for path, lo, size in zip(paths, np.cumsum([0, *sizes]).tolist(), sizes):
+            reference_write_table(folder / "part.csv", header, row_format, rows[lo : lo + size])
+            assert path.read_bytes() == (folder / "part.csv").read_bytes()
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, ioutil._BLOCK_CELLS // 3 + 1])
+    def test_rows_about_a_block_boundary(self, tmp_path, offset):
+        # Three cells a row; values repeat within a block and from one block to the next.
+        n = ioutil._BLOCK_CELLS // 3 + offset
+        x = np.arange(n) % 7 * 0.1
+        write_table(tmp_path / "new.csv", ["a", "b", "c"], [text_column(["u"] * n), x, -x])
+        rows = [("u", a, -a) for a in x.tolist()]
+        reference_write_table(tmp_path / "ref.csv", ["a", "b", "c"], "%s,%.17g,%.17g\n", rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+# Bit patterns a writer must keep apart or print alike: signed zeros, subnormals, extremes,
+# infinities and NaNs with other signs and payloads (every NaN prints "nan").
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
+           1.7976931348623157e308, math.inf, -math.inf, math.nan,
+           *np.array([0xFFF8000000000000, 0x7FF0000000000001], dtype=np.uint64).view(float).tolist()]
 
 
 def table_file(tmp_path, body, header=("user_id", "a", "b")):
@@ -104,7 +159,7 @@ class TestReadTable:
         # holding a line break or NUL, or an empty one, is refused (the next test).
         labels = ["a,b", 'say "hi"', " edge ", "é", "x=y", "u\xa0v", "\u2027"]
         path = tmp_path / "table.csv"
-        write_table(path, ["user_id", "a"], "%s,%.17g\n", zip(csv_cells(labels), range(len(labels))))
+        write_table(path, ["user_id", "a"], [text_column(labels), np.arange(len(labels), dtype=float)])
         got, values = read_table(path, ["user_id", "a"], "table", labeled=True)
         assert got == labels
         assert values[:, 0].tolist() == list(range(len(labels)))
@@ -122,7 +177,7 @@ class TestReadTable:
     def test_unwritable_label_names_its_first_row(self, tmp_path, label, cause):
         labels = ["u", label, "v", label]
         path = tmp_path / "table.csv"
-        write_table(path, ["user_id", "a"], "%s,%.17g\n", zip(csv_cells(labels), range(len(labels))))
+        write_table(path, ["user_id", "a"], [text_column(labels), np.arange(len(labels), dtype=float)])
         line = 3 + label.count("\n")  # the label's first row ends on this line
         with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: {cause}") + "$"):
             read_table(path, ["user_id", "a"], "table", labeled=True)

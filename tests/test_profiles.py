@@ -259,6 +259,24 @@ class TestEventLog:
         with pytest.raises(ValueError):
             gt.EventLog(*columns)
 
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            ((("",), [0], [("x",)], [0]), "event log user_ids has a blank entry ''"),
+            ((("a", "a"), [0, 1], [("x",)], [0, 0]), "event log user_ids holds 'a' twice"),
+            ((("a",), [1], [("x",)], [0]), "event log code 1 is outside user_ids (size 1)"),
+            ((("a",), [0], [()], [0]), "event log genre_sets has a blank entry ()"),
+            ((("a",), [0], [("x", "y"), ("y", "x")], [0]), "event log genre_sets holds ('x', 'y') twice"),
+            ((("a",), [0], [("x",)], [-1]), "event log code -1 is outside genre_sets (size 1)"),
+        ],
+        ids=["blank_user", "repeated_user", "user_code", "blank_set", "repeated_set", "set_code"],
+    )
+    def test_table_fault_names_the_table_and_the_entry(self, columns, message):
+        user_ids, user, genre_sets, genre_set = columns
+        times, fractions = [0.0] * len(user), [1.0] * len(user)
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            gt.EventLog(user_ids, user, times, genre_sets, genre_set, fractions)
+
 
 class TestProfileSeries:
     def test_validation(self):

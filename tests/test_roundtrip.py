@@ -172,3 +172,69 @@ def test_track_refuses_an_unwritable_id_before_writing_its_index(
     assert main([*argv, "--out", str(out)]) == 2
     assert re.fullmatch(f"genretrack track: error: {_refusal(user_id)}\n", capsys.readouterr().err)
     assert not out.exists()
+
+
+# Floats of every kind a table holds, finite: signed zeros, subnormals and the extremes.
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308]),
+)
+
+
+def float_array(data, *shape):
+    size = int(np.prod(shape))
+    return np.array(data.draw(st.lists(FLOATS, min_size=size, max_size=size)), dtype=float).reshape(shape)
+
+
+def same_bits(a, b):
+    return np.asarray(a).shape == np.asarray(b).shape and np.array_equal(
+        np.asarray(a, dtype=float).view(np.uint64), np.asarray(b, dtype=float).view(np.uint64)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_track_record_floats_read_back_bit_for_bit(tmp_path_factory, space, data):
+    n, d = data.draw(st.integers(1, 6)), space.d
+    values = float_array(data, n, 2 * d + 2)
+    record = gt.TrackRecord(
+        "u", np.arange(1, n + 1), values[:, :d], values[:, d : 2 * d], values[:, 2 * d], values[:, -1]
+    )
+    path = tmp_path_factory.mktemp("track") / "u.csv"
+    gt.write_track_record(record, space, path)
+    back = gt.read_track_record(path, space, "u")
+    assert back.steps.tolist() == record.steps.tolist()
+    for name in ("predicted", "innovations", "gain_norms", "p_traces"):
+        assert same_bits(getattr(back, name), getattr(record, name)), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_profile_floats_read_back_bit_for_bit(tmp_path_factory, space, data):
+    series = {}
+    for user_id in ("a", "b"):
+        # Instants stay below 8e307 in size, so that their differences stay finite.
+        instants = data.draw(st.lists(FLOATS.filter(lambda x: abs(x) < 8e307), min_size=1, max_size=5))
+        instants = sorted(set(instants))
+        profiles = float_array(data, len(instants), space.d)
+        series[user_id] = gt.ProfileSeries(user_id, np.array(instants), profiles)
+    path = tmp_path_factory.mktemp("profiles") / "profiles.csv"
+    gt.write_profiles(series, space, path)
+    back = gt.read_profiles(path, space)
+    assert list(back) == ["a", "b"]
+    for user_id, ps in back.items():
+        assert same_bits(ps.instants, series[user_id].instants)
+        assert same_bits(ps.profiles, series[user_id].profiles)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_final_state_floats_read_back_bit_for_bit(tmp_path_factory, space, data):
+    n = 3 * space.d
+    states = {user_id: gt.FilterState(float_array(data, n), np.eye(n)) for user_id in ("a", "b", "c")}
+    path = tmp_path_factory.mktemp("states") / "final_states.csv"
+    gt.write_final_states(states, space, path)
+    back = gt.read_final_states(path, space)
+    assert sorted(back) == ["a", "b", "c"]
+    for user_id, x_hat in back.items():
+        assert same_bits(x_hat, states[user_id].x_hat)

@@ -264,6 +264,15 @@ class TestGenerateEvents:
         with pytest.raises(ValueError, match=re.escape(message) + "$"):
             gt.generate_events(series, space, programs_per_day=3, seed=0)
 
+    def test_day_count_numpy_cannot_allocate_names_user_day_and_count(self):
+        # The count fits int64, so the overflow check passes it; numpy refuses the size
+        # before it allocates anything.
+        space = gt.new_space(["a", "b"])
+        series = {"big": gt.ProfileSeries("big", gt.day_instants(1), [[2.0**62, 2.0**62 - 1024]])}
+        message = "series for 'big': day 0 has 9223372036854774784 events, more than can be allocated"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            gt.generate_events(series, space, programs_per_day=3, seed=0)
+
     def test_simulate_with_overflowing_day_totals_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["simulate", "--q-true", "1e200", "--d", "4", "--k", "5", "--users", "2",

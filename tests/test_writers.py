@@ -6,12 +6,13 @@ produce identical files, for awkward user ids and genre labels too.
 """
 
 import csv
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
 import genretrack as gt
-from genretrack import tracking
+from genretrack import ioutil, tracking
 from genretrack.ioutil import fmt
 
 IDS = ["plain", "comma,id", 'quote"id', "Zoë ü", "both, \"and\" é"]
@@ -79,29 +80,59 @@ def test_profiles_dimension_checked_before_writing(tmp_path, space):
     assert not (tmp_path / "new.csv").exists()
 
 
-def test_track_record(tmp_path, space, awkward_floats):
-    n = 9
-    record = gt.TrackRecord(
+def awkward_record(awkward_floats, n, start=0):
+    values = awkward_floats[start : start + n * 10]
+    return gt.TrackRecord(
         user_id=IDS[1],
         steps=np.arange(1, n + 1),
-        predicted=awkward_floats[: n * 4].reshape(n, 4),
-        innovations=awkward_floats[n * 4 : n * 8].reshape(n, 4),
-        gain_norms=awkward_floats[n * 8 : n * 9],
-        p_traces=awkward_floats[n * 9 : n * 10],
+        predicted=values[: n * 4].reshape(n, 4),
+        innovations=values[n * 4 : n * 8].reshape(n, 4),
+        gain_norms=values[n * 8 : n * 9],
+        p_traces=values[n * 9 : n * 10],
     )
+
+
+def write_reference_track(path, record, space):
     write_csv(
-        tmp_path / "ref.csv",
+        path,
         tracking._track_header(space),
         [
             [int(record.steps[i])]
             + [fmt(x) for x in record.predicted[i]]
             + [fmt(x) for x in record.innovations[i]]
             + [fmt(record.gain_norms[i]), fmt(record.p_traces[i])]
-            for i in range(n)
+            for i in range(record.n_steps)
         ],
     )
+
+
+def test_track_record(tmp_path, space, awkward_floats):
+    record = awkward_record(awkward_floats, 9)
+    write_reference_track(tmp_path / "ref.csv", record, space)
     gt.write_track_record(record, space, tmp_path / "new.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("block_cells", [1, 19, 40, 100, 200, 10**6])
+def test_track_records_stacked_in_blocks(tmp_path, space, awkward_floats, block_cells):
+    # Records of 0 to 6 steps, 19 cells a row, stacked and formatted in blocks of a few
+    # cells, so that files, stacks and blocks end on every kind of boundary.
+    records = [awkward_record(awkward_floats, n, start=7 * n) for n in (3, 1, 6, 0, 2, 5, 1, 4)]
+    paths = [tmp_path / f"new{i}.csv" for i in range(len(records))]
+    with patch.object(ioutil, "_BLOCK_CELLS", block_cells):
+        gt.write_track_records(records, space, paths)
+    for record, path in zip(records, paths):
+        write_reference_track(tmp_path / "ref.csv", record, space)
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_track_records_dimension_checked_before_writing(tmp_path, space, awkward_floats):
+    good = awkward_record(awkward_floats, 3)
+    bad = gt.TrackRecord("v", np.arange(1, 3), np.zeros((2, 3)), np.zeros((2, 3)), np.zeros(2), np.zeros(2))
+    paths = [tmp_path / "good.csv", tmp_path / "bad.csv"]
+    with pytest.raises(ValueError, match="record dimension 3 does not match space d=4"):
+        gt.write_track_records([good, bad], space, paths)
+    assert not any(path.exists() for path in paths)
 
 
 def test_final_states(tmp_path, space, awkward_floats):
