@@ -3,6 +3,8 @@
 The gain maps innovation to state correction.  Iterating the covariance
 recursion from any start converges to a fixed point; the gain that goes
 with it tells you how aggressively the tracker follows new measurements.
+
+Needs SciPy (the ``test`` extra) for the independent Riccati reference.
 """
 
 import numpy as np

@@ -150,6 +150,18 @@ class EventLog:
         return map(self.__getitem__, range(len(self)))
 
 
+def _check_instants(instants: np.ndarray, what: str = "instants") -> None:
+    """Reject instants that are not finite and strictly increasing.
+
+    Neighbours are compared, never subtracted: a difference can overflow,
+    and a NaN passes ``<= 0``.
+    """
+    if not np.all(np.isfinite(instants)):
+        raise ValueError(f"{what} must be finite, got {instants[~np.isfinite(instants)][0]}")
+    if instants.ndim != 1 or not np.all(instants[1:] > instants[:-1]):
+        raise ValueError(f"{what} must be strictly increasing")
+
+
 @dataclass(frozen=True, eq=False)
 class ProfileSeries:
     """A user's interest vectors sampled at strictly increasing instants.
@@ -174,8 +186,7 @@ class ProfileSeries:
                 f"profiles shape {profiles.shape} does not match "
                 f"{instants.size} instants"
             )
-        if np.any(np.diff(instants) <= 0):
-            raise ValueError("instants must be strictly increasing")
+        _check_instants(instants, f"instants for {self.user_id!r}")
         if not np.all(np.isfinite(profiles)):
             raise ValueError(f"profiles for {self.user_id!r} contain non-finite values")
 
@@ -235,8 +246,7 @@ def build_series(
     grid = np.asarray(list(instants), dtype=float)
     if grid.size == 0:
         raise ValueError("instants list is empty")
-    if grid.ndim != 1 or np.any(np.diff(grid) <= 0):
-        raise ValueError("instants must be strictly increasing")
+    _check_instants(grid)
     if not 0.0 <= decay <= 1.0:
         raise ValueError(f"decay must be in [0, 1], got {decay!r}")
     log = events if isinstance(events, EventLog) else EventLog.from_events(events)

@@ -21,22 +21,17 @@ prediction x_hat = X(k | k-1) and covariance P = P(k | k-1),
     X(k+1 | k) = A x_hat + K nu
     P(k+1 | k) = A P A' - K (A P H')' + Q    (symmetrized)
 
-The dense filter (:func:`track_series`) solves against a Cholesky factor of
-S; it serves models whose noise couples axes and is the reference for the
-batched engine (:func:`track_users`), where S is diagonal and the solve a
-division.  No explicit matrix inverse is formed anywhere.
+The dense filter (:func:`track_series`) solves against numpy's Cholesky
+factor of S; it serves models whose noise couples axes and is the reference
+for the batched engine (:func:`track_users`), where S is diagonal and the
+solve a division.  No explicit matrix inverse is formed anywhere.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import importlib.util
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -83,79 +78,6 @@ class SingularInnovationError(RuntimeError):
     """The innovation covariance is numerically singular or ill-conditioned."""
 
 
-# Thread-count entry points of the OpenBLAS builds that numpy (64-bit integer
-# interface, "64_" suffix) and scipy (32-bit interface) bundle in their wheels.
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-)
-
-
-@functools.cache
-def _openblas_libraries() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
-    """(get, set) thread-count functions of each OpenBLAS bundled with numpy or scipy.
-
-    Looks in the wheels' private library folders (``numpy.libs``,
-    ``scipy.libs``, or ``.dylibs`` on macOS).  Empty when numpy and scipy are
-    built against another BLAS (MKL, Accelerate, a system library).
-    """
-    found = []
-    # find_spec locates scipy without importing it.
-    specs = [importlib.util.find_spec(name) for name in ("numpy", "scipy")]
-    for root in (Path(spec.origin).parent for spec in specs if spec and spec.origin):
-        paths = sorted(root.parent.glob(f"{root.name}.libs/*openblas*"))
-        paths += sorted(root.glob(".dylibs/*openblas*"))
-        for path in paths:
-            try:
-                lib = ctypes.CDLL(str(path))
-            except OSError:
-                continue
-            for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-                get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
-                if get is not None and set_ is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    set_.argtypes, set_.restype = [ctypes.c_int], None
-                    found.append((get, set_))
-                    break
-    return tuple(found)
-
-
-# Holders of the limit, in any thread; the first in saves the counts, the last out restores them.
-_blas_lock = threading.Lock()
-_blas_holders = 0
-_blas_saved: list[tuple[Callable[[int], None], int]] = []
-
-
-@contextmanager
-def _single_blas_thread() -> Iterator[None]:
-    """Hold each bundled OpenBLAS to one thread; restore the previous counts on exit.
-
-    The filter's products are at most a few hundred rows wide, too small to
-    split across threads.  numpy and scipy each bundle an OpenBLAS with its
-    own thread pool, and when both pools run on a machine with few cores
-    they contend for them: the dense filter runs about 10x slower than with
-    one thread per library.  On the acceptance scenarios the results are
-    bit-identical either way.  The counts are process-wide: overlapping
-    holders, in one thread or several, share one limit, which lasts until the
-    last of them exits.  Does nothing where no OpenBLAS is found.
-    """
-    global _blas_holders, _blas_saved
-    with _blas_lock:
-        if _blas_holders == 0:
-            _blas_saved = [(set_threads, get()) for get, set_threads in _openblas_libraries()]
-            for set_threads, _ in _blas_saved:
-                set_threads(1)
-        _blas_holders += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_holders -= 1
-            if _blas_holders == 0:
-                for set_threads, count in _blas_saved:
-                    set_threads(count)
-
-
 def _transition_block(T: float, alpha: float) -> np.ndarray:
     return np.array([[alpha, T, 0.5 * T * T], [0.0, alpha, T], [0.0, 0.0, alpha]])
 
@@ -199,13 +121,12 @@ class TrackingModel:
             raise ValueError("Q must be symmetric")
         if not np.allclose(R, R.T, atol=1e-12):
             raise ValueError("R must be symmetric")
-        with _single_blas_thread():
-            eigenvalues = np.linalg.eigvalsh(Q)
-            # Rounding scales with the largest eigenvalue, so the tolerance does too.
-            if eigenvalues.min() < -1e-12 * max(1.0, np.abs(eigenvalues).max()):
-                raise ValueError("Q must be positive semidefinite")
-            if np.linalg.eigvalsh(R).min() <= 0.0:
-                raise ValueError("R must be positive definite")
+        eigenvalues = np.linalg.eigvalsh(Q)
+        # Rounding scales with the largest eigenvalue, so the tolerance does too.
+        if eigenvalues.min() < -1e-12 * max(1.0, np.abs(eigenvalues).max()):
+            raise ValueError("Q must be positive semidefinite")
+        if np.linalg.eigvalsh(R).min() <= 0.0:
+            raise ValueError("R must be positive definite")
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "R", R)
         eye = np.eye(self.d)
@@ -341,16 +262,13 @@ def _gain_and_cross(
     model: TrackingModel, P: np.ndarray, step: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Return (K, A P H') for prediction covariance P, which ``step`` consumes."""
-    # Loaded here, not at module load: only the dense filter needs it.
-    import scipy.linalg
-
     AP = model.A @ P
     APHt = AP @ model.H.T
     S = model.H @ (P @ model.H.T) + model.R
     S = 0.5 * (S + S.T)
     _check_conditioning(np.linalg.eigvalsh(S), step)
-    factor = scipy.linalg.cho_factor(S, lower=True)
-    K = scipy.linalg.cho_solve(factor, APHt.T).T
+    L = np.linalg.cholesky(S)
+    K = np.linalg.solve(L.T, np.linalg.solve(L, APHt.T)).T
     return K, APHt
 
 
@@ -411,7 +329,6 @@ def covariance_step(model: TrackingModel, P: np.ndarray) -> np.ndarray:
     return 0.5 * (P_next + P_next.T)
 
 
-@_single_blas_thread()
 def steady_state_covariance(
     model: TrackingModel,
     p0: float = DEFAULT_P0,
@@ -459,7 +376,6 @@ class TrackRecord:
         return int(self.steps.size)
 
 
-@_single_blas_thread()
 def track_series(
     model: TrackingModel,
     observations: ProfileSeries,
@@ -469,8 +385,7 @@ def track_series(
 
     The filter starts at the first observation; every subsequent snapshot is
     paired with the prediction made before it was consumed, so the record is
-    honest out-of-sample output.  Needs at least 2 observations.  Holds each
-    bundled OpenBLAS to one thread while it runs (see ``_single_blas_thread``).
+    honest out-of-sample output.  Needs at least 2 observations.
     """
     Z = observations.profiles
     if observations.d != model.d:
@@ -508,7 +423,6 @@ def _per_axis_blocks(model: TrackingModel) -> tuple[np.ndarray, np.ndarray]:
     return Qb, np.diag(model.R).copy()
 
 
-@_single_blas_thread()
 def track_users(
     model: TrackingModel, series_list: Sequence[ProfileSeries], p0: float = DEFAULT_P0
 ) -> list[TrackRecord]:
@@ -521,7 +435,7 @@ def track_users(
     per step; a shorter series uses a prefix.  Records match
     :func:`track_series` to rounding; equal lengths share read-only steps,
     gain norms, traces and final P and gain.  Raises ``ValueError`` when Q or
-    R couples axes.  Holds OpenBLAS to one thread, as :func:`track_series` does.
+    R couples axes.
     """
     if not p0 > 0:
         raise ValueError(f"initial covariance scale p0 must be > 0, got {p0}")

@@ -355,6 +355,29 @@ class TestErrors:
         assert code == 2
         assert "no events" in capsys.readouterr().err
 
+    def test_non_finite_instant_refused(self, pipeline, tmp_path, capsys):
+        sim = pipeline["sim"]
+        instants = tmp_path / "instants.txt"
+        instants.write_text("100\nnan\n300\n", encoding="utf-8")
+        code = run([
+            "build-profiles", "--vocabulary", str(sim / "vocabulary.txt"),
+            "--events", str(sim / "events.csv"), "--instants", str(instants),
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert "genretrack build-profiles: error: instants must be finite, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_non_finite_instant_in_profiles_refused(self, tmp_path, capsys):
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("a\n", encoding="utf-8")
+        profiles_csv = tmp_path / "profiles.csv"
+        profiles_csv.write_text("user_id,instant,a\nu,1,0.5\nu,nan,0.5\n", encoding="utf-8")
+        code = run(["track", "--vocabulary", str(vocab), "--profiles", str(profiles_csv), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "genretrack track: error: instants for 'u' must be finite, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_evaluate_without_index(self, tmp_path, capsys):
         vocab = tmp_path / "vocab.txt"
         vocab.write_text("a\n", encoding="utf-8")
@@ -646,18 +669,35 @@ class TestImports:
         )
         assert proc.returncode == 0, proc.stderr
 
-    def test_cli_does_not_load_scipy(self):
-        # the OpenBLAS thread limit finds scipy's bundled library without importing scipy
+    def test_cli_does_not_load_scipy(self, pipeline, tmp_path):
+        # SciPy is a test-only dependency: neither the CLI nor either filter may load any of it
+        sim, built = pipeline["sim"], pipeline["built"]
+        argv = [
+            "track", "--vocabulary", str(sim / "vocabulary.txt"),
+            "--profiles", str(built / "built_profiles.csv"), "--out", str(tmp_path / "o"),
+        ]
+        probe = (
+            "import sys\n"
+            "def assert_no_scipy(after):\n"
+            "    loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "    assert not loaded, f'{after} loaded {sorted(loaded)}'\n"
+            "import genretrack.cli\n"
+            "assert_no_scipy('import genretrack.cli')\n"
+            "import numpy as np\n"
+            "import genretrack as gt\n"
+            "model = gt.build_model(d=3)\n"
+            "series = gt.ProfileSeries('u', np.arange(4.0), np.random.default_rng(0).random((4, 3)))\n"
+            "gt.track_series(model, series)\n"
+            "gt.steady_state_covariance(model)\n"
+            "assert_no_scipy('the dense filter')\n"
+            f"assert genretrack.cli.main({argv!r}) == 0\n"
+            "assert_no_scipy('genretrack track')\n"
+        )
         src = str(Path(gt.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        probe = (
-            "import sys, genretrack.cli\n"
-            "from genretrack import tracking\n"
-            "tracking._openblas_libraries()\n"
-            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)"
-        )
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "o" / "final_states.csv").is_file()
 
 
 class TestEntryPoint:

@@ -170,6 +170,25 @@ class TestBuildSeries:
         with pytest.raises(ValueError):
             gt.build_series(events, space, np.array([10.0, 10.0]))
 
+    @pytest.mark.parametrize(
+        "instants, cause",
+        [
+            ([10.0, np.nan, 30.0], "must be finite, got nan"),
+            ([10.0, np.inf], "must be finite, got inf"),
+            ([-np.inf, 10.0], "must be finite, got -inf"),
+        ],
+    )
+    def test_non_finite_instants_rejected(self, space, instants, cause):
+        events = [gt.WatchEvent("u", 0.0, frozenset({"Drama"}), 1.0)]
+        with pytest.raises(ValueError, match=f"^instants {cause}$"):
+            gt.build_series(events, space, np.array(instants))
+
+    def test_instants_spanning_past_the_float_range_accepted(self, space):
+        # their difference overflows; the comparison does not
+        events = [gt.WatchEvent("u", -1e308, frozenset({"Drama"}), 1.0)]
+        series = gt.build_series(events, space, np.array([-1e308, 1e308]))["u"]
+        assert series.instants.tolist() == [-1e308, 1e308]
+
     def test_empty_instants_rejected(self, space):
         events = [gt.WatchEvent("u", 0.0, frozenset({"Drama"}), 1.0)]
         with pytest.raises(ValueError):
@@ -284,6 +303,24 @@ class TestProfileSeries:
             gt.ProfileSeries("u", np.array([2.0, 1.0]), np.zeros((2, 3)))
         with pytest.raises(ValueError):
             gt.ProfileSeries("u", np.array([1.0, 2.0]), np.zeros((3, 3)))
+
+    @pytest.mark.parametrize(
+        "instants, cause",
+        [
+            ([1.0, np.nan, 3.0], "must be finite, got nan"),
+            ([np.nan], "must be finite, got nan"),
+            ([1.0, np.inf], "must be finite, got inf"),
+            ([2.0, 1.0, 3.0], "must be strictly increasing"),
+            ([1.0, 1.0], "must be strictly increasing"),
+        ],
+    )
+    def test_instants_fault_names_the_user_and_the_cause(self, instants, cause):
+        with pytest.raises(ValueError, match=f"^instants for 'u' {cause}$"):
+            gt.ProfileSeries("u", np.array(instants), np.zeros((len(instants), 2)))
+
+    def test_instants_spanning_past_the_float_range_accepted(self):
+        s = gt.ProfileSeries("u", np.array([-1e308, 1e308]), np.zeros((2, 2)))
+        assert s.n_instants == 2
 
     def test_properties(self):
         s = gt.ProfileSeries("u", np.array([1.0, 2.0]), np.zeros((2, 4)))

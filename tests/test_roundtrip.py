@@ -213,8 +213,7 @@ def test_track_record_floats_read_back_bit_for_bit(tmp_path_factory, space, data
 def test_profile_floats_read_back_bit_for_bit(tmp_path_factory, space, data):
     series = {}
     for user_id in ("a", "b"):
-        # Instants stay below 8e307 in size, so that their differences stay finite.
-        instants = data.draw(st.lists(FLOATS.filter(lambda x: abs(x) < 8e307), min_size=1, max_size=5))
+        instants = data.draw(st.lists(FLOATS, min_size=1, max_size=5))
         instants = sorted(set(instants))
         profiles = float_array(data, len(instants), space.d)
         series[user_id] = gt.ProfileSeries(user_id, np.array(instants), profiles)

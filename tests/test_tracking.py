@@ -1,9 +1,5 @@
-import os
+import ctypes
 import re
-import subprocess
-import sys
-import threading
-import time
 import warnings
 from pathlib import Path
 
@@ -17,11 +13,6 @@ import genretrack as gt
 from genretrack import tracking
 from genretrack.tracking import FilterState
 from properties import check_covariance_properties, run_many
-
-OPENBLAS = tracking._openblas_libraries()
-needs_openblas = pytest.mark.skipif(
-    not OPENBLAS, reason="no OpenBLAS thread-count symbols found in numpy or scipy"
-)
 
 
 def transition_1d(T=1.0, alpha=1.0):
@@ -438,143 +429,47 @@ class TestTrackUsers:
         assert np.all(np.isfinite(record.predicted))
 
 
-def thread_counts():
-    return [get() for get, _ in OPENBLAS]
+def numpy_openblas_threads():
+    """(get, set) thread count of the OpenBLAS in numpy's wheel; None where numpy uses another BLAS."""
+    root = Path(np.__file__).parent
+    for path in sorted(root.parent.glob("numpy.libs/*openblas*")) + sorted(root.glob(".dylibs/*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_threads is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            return get, set_threads
+    return None
 
 
 @pytest.fixture
 def two_blas_threads():
-    """Set every bundled OpenBLAS to 2 threads, so a leaked limit of 1 shows."""
-    before = thread_counts()
-    for _, set_threads in OPENBLAS:
-        set_threads(2)
-    yield thread_counts()
-    for (_, set_threads), count in zip(OPENBLAS, before):
-        set_threads(count)
+    """numpy's OpenBLAS set to 2 threads, so that a leaked limit of 1 shows; yields its getter or None."""
+    found = numpy_openblas_threads()
+    if found is None:
+        yield None
+        return
+    get, set_threads = found
+    before = get()
+    set_threads(2)
+    yield get
+    set_threads(before)
 
 
-def random_series(d=4, K=6, seed=10):
-    rng = np.random.default_rng(seed)
-    return gt.ProfileSeries("u", np.arange(K, dtype=float), rng.random((K, d)))
-
-
-@needs_openblas
 class TestBlasThreadLimit:
-    @pytest.mark.parametrize(
-        "run",
-        [
-            gt.track_series,
-            gt.track_series_decoupled,
-            lambda m, s: gt.steady_state_covariance(m, max_iter=5000),
-            lambda m, s: gt.build_model(d=44),
-        ],
-        ids=["dense", "decoupled", "steady_state", "build_model"],
-    )
-    def test_counts_restored_after_return(self, two_blas_threads, run):
-        run(gt.build_model(d=4), random_series())
-        assert thread_counts() == two_blas_threads
+    """The filters leave the process-wide BLAS thread count as they found it."""
 
-    @pytest.mark.parametrize("track", [gt.track_series, gt.track_series_decoupled])
+    @pytest.mark.parametrize(
+        "track", [gt.track_series, gt.track_series_decoupled], ids=["track_series", "track_series_decoupled"]
+    )
     def test_counts_restored_after_error(self, two_blas_threads, track):
-        series = random_series()
+        series = gt.ProfileSeries("u", np.arange(6.0), np.random.default_rng(10).random((6, 4)))
         # ProfileSeries rejects NaN on construction; plant one in the third snapshot
         series.profiles[2, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             track(gt.build_model(d=4), series)
-        assert thread_counts() == two_blas_threads
-
-    def test_overlapping_holders_share_one_limit(self, two_blas_threads):
-        # enter A, enter B, exit A, exit B: B keeps one thread until it exits
-        a, b = tracking._single_blas_thread(), tracking._single_blas_thread()
-        a.__enter__()
-        b.__enter__()
-        a.__exit__(None, None, None)
-        assert thread_counts() == [1] * len(OPENBLAS)
-        b.__exit__(None, None, None)
-        assert thread_counts() == two_blas_threads
-
-    def test_holders_in_many_threads(self, two_blas_threads):
-        # a lost update of the holder count would restore the counts while a holder is inside
-        inside = []
-
-        def hold():
-            for _ in range(200):
-                with tracking._single_blas_thread():
-                    time.sleep(0)  # yield, so that holders overlap
-                    inside.append(thread_counts() == [1] * len(OPENBLAS))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            workers = [threading.Thread(target=hold) for _ in range(4)]
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(worker.is_alive() for worker in workers)
-        assert len(inside) == 800 and all(inside)
-        assert thread_counts() == two_blas_threads
-
-    def test_one_thread_inside_dense_loop(self, two_blas_threads, monkeypatch):
-        seen = []
-        predict_step = tracking.predict_step
-
-        def counting_predict_step(model, state, z):
-            seen.append(thread_counts())
-            return predict_step(model, state, z)
-
-        monkeypatch.setattr(tracking, "predict_step", counting_predict_step)
-        gt.track_series(gt.build_model(d=4), random_series(K=6))
-        assert seen == [[1] * len(OPENBLAS)] * 6
-
-
-LAZY_LINALG_PROBE = """
-import sys
-import numpy as np
-import genretrack as gt
-from genretrack import tracking
-
-libraries = tracking._openblas_libraries()
-for _, set_threads in libraries:
-    set_threads(2)
-assert "scipy.linalg" not in sys.modules
-seen = []
-predict_step = tracking.predict_step
-def counting_predict_step(model, state, z):
-    seen.append([get() for get, _ in libraries])
-    return predict_step(model, state, z)
-tracking.predict_step = counting_predict_step
-series = gt.ProfileSeries("u", np.arange(4.0), np.random.default_rng(0).random((4, 3)))
-gt.track_series(gt.build_model(d=3), series)
-assert "scipy.linalg" in sys.modules
-assert seen == [[1] * len(libraries)] * 4, seen
-assert [get() for get, _ in libraries] == [2] * len(libraries)
-"""
-
-
-@needs_openblas
-def test_one_thread_when_dense_filter_loads_scipy_linalg():
-    """The limit also holds on the first dense run, which loads scipy.linalg itself."""
-    src = str(Path(gt.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", LAZY_LINALG_PROBE], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-
-
-def test_track_series_without_openblas_gives_same_record(monkeypatch):
-    m = gt.build_model(d=4)
-    series = random_series()
-    limited = gt.track_series(m, series)
-    monkeypatch.setattr(tracking, "_openblas_libraries", lambda: ())
-    plain = gt.track_series(m, series)
-    for name in ("steps", "predicted", "innovations", "gain_norms", "p_traces"):
-        assert np.array_equal(getattr(plain, name), getattr(limited, name))
-    assert np.array_equal(plain.final_state.x_hat, limited.final_state.x_hat)
-    assert np.array_equal(plain.final_state.P, limited.final_state.P)
+        assert two_blas_threads is None or two_blas_threads() == 2
 
 
 class TestCovarianceProperties:
