@@ -13,7 +13,7 @@ genre decision to concrete programs.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -168,10 +168,14 @@ def filter_catalog(
 
 
 def write_recommendations(recs: Iterable[Recommendation], path: str | Path) -> None:
-    """One JSON object per line, keys sorted, deterministic bytes."""
+    """One JSON object per line, keys sorted, deterministic bytes.
+
+    Every field is a string or a tuple of strings, so ``vars`` gives what
+    ``dataclasses.asdict`` would, without deep-copying each tuple.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for rec in recs:
-            fh.write(json.dumps(asdict(rec), sort_keys=True))
+            fh.write(json.dumps(vars(rec), sort_keys=True))
             fh.write("\n")
 
 

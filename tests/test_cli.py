@@ -365,7 +365,29 @@ class TestErrors:
             "--out", str(tmp_path / "o"),
         ])
         assert code == 2
-        assert "genretrack build-profiles: error: instants must be finite, got nan" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"genretrack build-profiles: error: {instants}:2: instants must be finite, got nan\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "text, cause",
+        [
+            ("100\n\n-inf\n300\n", "3: instants must be finite, got -inf"),
+            ("# t\n100\n200\n  200 \n", "4: instants must be strictly increasing, got 200 after 200"),
+            ("100\n300\n2e2\n", "3: instants must be strictly increasing, got 2e2 after 300"),
+        ],
+        ids=["infinite", "repeated", "earlier"],
+    )
+    def test_instant_fault_names_its_line(self, pipeline, tmp_path, capsys, text, cause):
+        sim = pipeline["sim"]
+        instants = tmp_path / "instants.txt"
+        instants.write_text(text, encoding="utf-8")
+        code = run([
+            "build-profiles", "--vocabulary", str(sim / "vocabulary.txt"),
+            "--events", str(sim / "events.csv"), "--instants", str(instants),
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"genretrack build-profiles: error: {instants}:{cause}\n"
         assert not (tmp_path / "o").exists()
 
     def test_non_finite_instant_in_profiles_refused(self, tmp_path, capsys):
@@ -554,14 +576,24 @@ class TestRecommendDates:
         assert code == 2
 
 
-def loaded_modules(code: str) -> list[str]:
-    """Run ``code`` in a fresh interpreter; the genretrack modules loaded when it ends."""
+def fresh_python(code: str, env: dict[str, str] | None = None):
+    """Run ``code`` in a fresh interpreter that imports this genretrack; its last stdout line as JSON.
+
+    ``env`` replaces this process's environment; this genretrack is put on its ``PYTHONPATH``.
+    """
     src = str(Path(gt.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = f"{code}\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('genretrack'))))"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def loaded_modules(code: str) -> list[str]:
+    """Run ``code`` in a fresh interpreter; the genretrack modules loaded when it ends."""
+    return fresh_python(
+        f"{code}\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('genretrack'))))"
+    )
 
 
 def command_modules(argv: list[str]) -> list[str]:
@@ -698,6 +730,60 @@ class TestImports:
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "o" / "final_states.csv").is_file()
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _numpy_uses_openblas() -> bool:
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+def threads_and_environ(code: str, **env: str) -> list:
+    """Run ``code`` in a fresh interpreter with only ``env`` of the BLAS thread variables set.
+
+    Returns [the process's thread count, its environment] when ``code`` ends; ``code``
+    may compare ``before``, the environment it started with.
+    """
+    base = {name: value for name, value in os.environ.items() if name not in BLAS_THREAD_VARIABLES}
+    probe = (
+        "import json, os\n"
+        "before = dict(os.environ)\n"
+        f"{code}\n"
+        "print(json.dumps([len(os.listdir('/proc/self/task')), dict(os.environ)]))"
+    )
+    return fresh_python(probe, {**base, **env})
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+@pytest.mark.skipif(not _numpy_uses_openblas(), reason="numpy's BLAS is not OpenBLAS")
+class TestBlasThreadPool:
+    """Importing the CLI loads numpy with one OpenBLAS thread and leaves the environment as it was."""
+
+    CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+    def test_cli_loads_numpy_with_one_thread(self):
+        threads, environ = threads_and_environ("import genretrack.cli\nassert dict(os.environ) == before")
+        assert threads == 1
+        assert not set(BLAS_THREAD_VARIABLES) & set(environ)
+
+    @pytest.mark.parametrize("name", BLAS_THREAD_VARIABLES)
+    def test_a_thread_count_the_caller_set_is_honoured(self, name):
+        threads, environ = threads_and_environ("import genretrack.cli\nassert dict(os.environ) == before", **{name: "2"})
+        assert environ[name] == "2"
+        if self.CPUS >= 2:
+            assert threads == 2
+
+    def test_cli_imported_after_numpy_changes_nothing(self):
+        threads, _ = threads_and_environ(
+            "import numpy\nthreads = len(os.listdir('/proc/self/task'))\n"
+            "import genretrack.cli\n"
+            "assert dict(os.environ) == before\n"
+            "assert len(os.listdir('/proc/self/task')) == threads"
+        )
+        if self.CPUS >= 2:
+            assert threads > 1
 
 
 class TestEntryPoint:
