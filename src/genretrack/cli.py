@@ -13,9 +13,11 @@ command imports, when it runs, only the modules it uses: ``build-profiles``
 loads ``space``, ``ioutil`` and ``profiles``; ``track`` adds ``tracking``;
 ``recommend`` adds ``tracking`` and ``recommender``; ``evaluate`` adds
 ``tracking`` and ``evaluation``; only ``simulate`` loads ``synthetic``.
-Every CSV input, ``tracks/index.csv`` included, is read by ``ioutil.read_rows``,
-so a faulty row is named by ``path:line`` and its cause, and a user id in any table
-obeys one rule; the instants file is checked line by line the same way.
+Every CSV input, ``tracks/index.csv`` included, is read by ``ioutil.read_rows``, except
+a plain event log, which ``profiles.read_events`` cuts with numpy byte operations and
+hands to ``read_rows`` on any fault.  So a faulty row is named by ``path:line`` and its
+cause, and a user id in any table obeys one rule; the instants file is checked line by
+line the same way, and a byte that is not UTF-8 names its ``path:line`` in every input.
 
 Importing this module loads numpy with a one-thread OpenBLAS pool: no command runs
 linear algebra big enough to gain from a second thread, and more threads only cost
@@ -51,7 +53,7 @@ if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_
 import numpy as np
 
 from .ioutil import (
-    DAY_SECONDS, _check_user_id, csv_cells, fmt, read_rows, safe_filename, write_table,
+    DAY_SECONDS, _check_user_id, _text_lines, csv_cells, fmt, read_rows, safe_filename, write_table,
 )
 
 __all__ = ["main"]
@@ -189,10 +191,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _content_lines(path: str, what: str) -> list[tuple[int, str]]:
     """(line number, stripped line) of each line that is neither blank nor a # comment."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        lines = (line.strip() for line in _text_lines(path))
     except OSError as exc:
         raise CliError(f"cannot read {what}: {exc}") from exc
-    lines = (line.strip() for line in text.splitlines())
     return [(n, line) for n, line in enumerate(lines, 1) if line and not line.startswith("#")]
 
 
@@ -410,10 +411,12 @@ def cmd_recommend(effective: dict) -> Writer:
         day = int(days.max())
     date_str = (_EPOCH + datetime.timedelta(days=day)).isoformat()
 
+    today = days == day
+    n_sets = max(1, len(events.genre_sets))
+    pairs = np.unique(events.user[today] * n_sets + events.genre_set[today])  # (user, genre set)
     watched_today: dict[str, set[str]] = {}
-    for i in np.flatnonzero(days == day):
-        user_id = events.user_ids[events.user[i]]
-        watched_today.setdefault(user_id, set()).update(events.genre_sets[events.genre_set[i]])
+    for user, genre_set in zip((pairs // n_sets).tolist(), (pairs % n_sets).tolist()):
+        watched_today.setdefault(events.user_ids[user], set()).update(events.genre_sets[genre_set])
 
     recommendations = []
     for user_id in sorted(states):

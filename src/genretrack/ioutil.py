@@ -1,9 +1,11 @@
 """Small shared helpers for deterministic text I/O and timestamp parsing.
 
 Every CSV table is written by :func:`write_table`, column-wise, a bounded block of rows at a
-time, each distinct float of a block formatted once as :func:`fmt` formats it.  Every table
-is read back by :func:`read_rows`: numpy's C tokenizer parses chunks of rows streamed from
-the file, and on a fault one ``csv`` pass names the faulty row.
+time, each distinct float of a block formatted once as :func:`fmt` formats it.  Tables are
+read back by :func:`read_rows`: numpy's C tokenizer parses chunks of rows streamed from the
+file, and on a fault one ``csv`` pass names the faulty row.  The one exception is a plain
+event log, which ``profiles.read_events`` reads from its bytes and hands to ``read_rows``
+on any fault.
 """
 
 from __future__ import annotations
@@ -130,42 +132,80 @@ def read_rows(
     of at most ``_CHUNK_BYTES`` straight from the file, opened with ``newline=""``, so a
     row may end in ``\n``, ``\r\n`` or a bare ``\r``.  Blank lines, even one in a quoted
     cell, are dropped: numpy warns of one under ``max_rows``.  A ``ValueError`` raised in
-    the ``with`` block, by numpy or the caller, makes one ``csv`` pass that raises
-    ``path:line: <cause>`` for the first row with other than ``len(header)`` cells or on
-    which ``check`` raises ``ValueError(cause)``, else ``path: <error>``.  ``csv``'s
-    field size limit is lifted until the block ends.
+    the ``with`` block, by numpy, the UTF-8 decoder or the caller, makes one ``csv`` pass
+    that raises ``path:line: <cause>`` for the first row holding a byte that is not UTF-8,
+    with other than ``len(header)`` cells or on which ``check`` raises
+    ``ValueError(cause)``, else ``path: <error>``.  ``csv``'s field size limit is lifted
+    until the block ends.
     """
     header = list(header)
     limit = csv.field_size_limit(_FIELD_LIMIT)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            got = next(csv.reader(fh), None)
-            if got is None:
-                raise ValueError(f"{what} {path} is empty")
-            if [cell.strip() for cell in got] != header:
-                raise ValueError(f"{what} {path} has header {got!r}, expected {header!r}")
-            rows = filterfalse(_BLANK_LINES.__contains__, fh)
-            max_rows = max(1, _CHUNK_BYTES // dtype.itemsize)
             try:
+                got = next(csv.reader(fh), None)
+                if got is None or [cell.strip() for cell in got] != header:
+                    raise ValueError("no header or a wrong one")  # _first_fault words it
+                rows = filterfalse(_BLANK_LINES.__contains__, fh)
+                max_rows = max(1, _CHUNK_BYTES // dtype.itemsize)
                 yield (  # each chunk starts at the next line left
                     np.loadtxt(chain((line,), rows), dtype, max_rows=max_rows, ndmin=1, **_LOADTXT)
                     for line in rows
                 )
             except ValueError as error:
-                fh.seek(0)
-                reader = csv.reader(fh)
-                next(reader)
-                for row in filter(None, reader):
-                    where = f"{path}:{reader.line_num}"
-                    if len(row) != len(header):
-                        raise ValueError(f"{where}: expected {len(header)} fields, got {len(row)}")
-                    try:
-                        check(row)
-                    except ValueError as cause:
-                        raise ValueError(f"{where}: {cause}") from None
-                raise ValueError(f"{path}: {error}")
+                raise _first_fault(path, header, what, check, error) from None
     finally:
         csv.field_size_limit(limit)
+
+
+def _first_fault(
+    path: str | Path, header: list[str], what: str, check: Callable, error: ValueError
+) -> ValueError:
+    """The error :func:`read_rows` raises: the header's fault, else the first faulty row's,
+    else ``path: <error>``.  The file is read again, a byte that is not UTF-8 escaped."""
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        reader = csv.reader(fh)
+        got = next(reader, None)
+        if got is None:
+            return ValueError(f"{what} {path} is empty")
+        if cause := _undecodable(got):
+            return ValueError(f"{path}:{reader.line_num}: {cause}")
+        if [cell.strip() for cell in got] != header:
+            return ValueError(f"{what} {path} has header {got!r}, expected {header!r}")
+        for row in filter(None, reader):
+            where = f"{path}:{reader.line_num}"
+            if cause := _undecodable(row):
+                return ValueError(f"{where}: {cause}")
+            if len(row) != len(header):
+                return ValueError(f"{where}: expected {len(header)} fields, got {len(row)}")
+            try:
+                check(row)
+            except ValueError as cause:
+                return ValueError(f"{where}: {cause}")
+    return ValueError(f"{path}: {error}")
+
+
+# The characters by which errors="surrogateescape" stands in for the bytes 0x80-0xff
+# that do not decode as UTF-8.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def _undecodable(cells: Iterable[str]) -> str:
+    """The cause naming the first byte escaped in ``cells``, else ''."""
+    found = _ESCAPED_BYTE.search("\0".join(cells))
+    return f"byte 0x{ord(found[0]) - 0xDC00:02x} is not UTF-8" if found else ""
+
+
+def _text_lines(path: str | Path) -> list[str]:
+    """The lines of the UTF-8 text file at ``path``, as ``str.splitlines`` splits them.
+
+    A byte that is not UTF-8 raises ``ValueError`` naming ``path:line`` and the byte.
+    """
+    lines = Path(path).read_text(encoding="utf-8", errors="surrogateescape").splitlines()
+    for number, line in enumerate(lines, 1):
+        if cause := _undecodable([line]):
+            raise ValueError(f"{path}:{number}: {cause}")
+    return lines
 
 
 def read_table(

@@ -6,8 +6,9 @@ Snapshots of the running profile taken at a fixed grid of instants form the
 observation sequence that the tracker consumes.
 
 A log is held as an :class:`EventLog`: columns of user codes, timestamps,
-genre-set codes and fractions, which :func:`read_events` fills from numpy's
-parse of the CSV rows, handling each distinct cell once.  :func:`build_series`
+genre-set codes and fractions, which :func:`read_events` fills, handling each
+distinct cell once: from numpy byte operations on a plain log (LF ends, no
+quotes, short fields), else from numpy's parse of the CSV rows.  :func:`build_series`
 folds every user at once on those columns and performs, cell by cell, the
 additions of :func:`interest_update` in the same order, so its profiles are
 bit-identical to folding one event at a time.
@@ -335,12 +336,23 @@ def _check_event_row(row: list[str]) -> None:
 
 
 def read_events(path: str | Path) -> EventLog:
-    """Read a watch-event log into columns, through :func:`ioutil.read_rows`.
+    """Read a watch-event log into columns.
 
-    Each distinct cell is handled once: a user id is checked, a timestamp parsed and a
-    genres cell split.  Any fault raises ``ValueError`` naming the first faulty row's
-    ``path:line`` and its cause.
+    A plain log (see :func:`_read_plain_events`) is cut into cells with numpy byte
+    operations; any other log, and a plain one on which that raises ``ValueError``, is
+    read by :func:`ioutil.read_rows`.  Either way each distinct cell is handled once, in
+    first-seen order: a user id is checked, a timestamp parsed and a genres cell split.
+    Any fault raises ``ValueError`` naming the first faulty row's ``path:line`` and its
+    cause, as ``read_rows`` names it.
     """
+    try:
+        return _read_plain_events(path)
+    except ValueError:
+        return _read_event_rows(path)
+
+
+def _read_event_rows(path: str | Path) -> EventLog:
+    """The event log at ``path``, through :func:`ioutil.read_rows`."""
     # Each column's distinct cells, each to its code, in first-seen order.
     users: dict[str, int] = {}
     stamps: dict[str, int] = {}
@@ -356,10 +368,7 @@ def read_events(path: str | Path) -> EventLog:
         for user_id in users:
             _check_user_id(user_id)
         sets: dict[tuple[str, ...], int] = {}
-        set_of_cell = np.array(  # -1 for a cell that names no genre, which EventLog refuses
-            [sets.setdefault(ls, len(sets)) if (ls := _labels(c)) else -1 for c in genres],
-            dtype=np.intp,
-        )
+        set_of_cell = np.array([_set_code(sets, c) for c in genres], dtype=np.intp)
         stamp_values = np.array(list(map(parse_timestamp, stamps)), dtype=float)
         # EventLog refuses a non-finite timestamp and a fraction outside [0, 1].
         return EventLog(
@@ -370,6 +379,121 @@ def read_events(path: str | Path) -> EventLog:
             set_of_cell[np.concatenate(genre_codes)],
             np.concatenate(fractions),
         )
+
+
+def _set_code(sets: dict[tuple[str, ...], int], cell: str) -> int:
+    """The code in ``sets`` of a genres cell's label set; -1, which EventLog refuses, if empty."""
+    return sets.setdefault(labels, len(sets)) if (labels := _labels(cell)) else -1
+
+
+# The byte path reads a log this many bytes at a time, cut after the block's last newline.
+_PLAIN_BLOCK_BYTES = 1 << 19
+# A field longer than this many bytes sends the log to read_rows.
+_FIELD_CAP = 64
+_LINE_CAP = 4 * _FIELD_CAP + 3  # the longest line a plain log can hold, newline aside
+_PAD = bytes(_FIELD_CAP + 8)  # lets a word be read past a block's last field
+# _LOW_BYTES[n] keeps the n low (first) bytes of a little-endian word.
+_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+
+
+def _distinct(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For cells held as the columns of ``words`` (each cell's bytes, NUL-padded, as 64-bit
+    words): the first column of each distinct cell, in first-seen order, and each column's
+    index into those.  ``ValueError`` if two distinct cells share a key."""
+    key = words[0]
+    for word in words[1:]:
+        key = key * np.uint64(0x9E3779B97F4A7C15) + word
+    # np.unique's work, and each key's first column: the least in its run of the sort.
+    order = key.argsort()
+    new = np.diff(key[order], prepend=~key[order[:1]]) != 0
+    first = np.minimum.reduceat(order, np.flatnonzero(new)) if order.size else order
+    group = np.empty_like(order)
+    group[order] = np.cumsum(new) - 1
+    if not np.array_equal(words, words[:, first[group]]):  # a hash collision joins two cells
+        raise ValueError("two distinct cells share a key")
+    seen = first.argsort()
+    rank = np.empty_like(seen)
+    rank[seen] = np.arange(seen.size)
+    return first[seen], rank[group]
+
+
+def _plain_block(block: bytes) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each column's (distinct cells in first-seen order, each row's index into them) for
+    ``block``, whole lines of a plain log, the last one's newline left off.  A cell is a
+    fixed-width bytes scalar, its field padded with NUL bytes to a whole number of words."""
+    if b'"' in block or b"\r" in block or b"\0" in block:
+        raise ValueError("not a plain block")
+    buf = np.frombuffer(block, np.uint8)
+    ends = np.append(np.flatnonzero(buf == ord("\n")), buf.size)
+    commas = np.flatnonzero(buf == ord(","))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    full = ends > starts  # an empty line holds no row
+    if not np.array_equal(np.diff(np.searchsorted(commas, ends), prepend=0), 3 * full):
+        raise ValueError("a row without 4 fields")
+    commas = commas.reshape(-1, 3).T
+    lo = np.vstack((starts[full], commas + 1))
+    sizes = np.vstack((commas, ends[full])) - lo
+    if sizes.max(initial=0) > _FIELD_CAP:
+        raise ValueError("a field too long for the byte path")
+    # window[i] is the little-endian word of the 8 bytes at offset i.
+    padded = block + _PAD
+    window = np.ndarray((len(padded) - 7,), "<u8", padded, strides=(1,))
+    out = []
+    for start, size in zip(lo, sizes):
+        n_words = max(1, -(-int(size.max(initial=0)) // 8))
+        words = np.array([
+            window[start + 8 * w] & _LOW_BYTES[np.clip(size - 8 * w, 0, 8)] for w in range(n_words)
+        ], dtype="<u8")
+        first, index = _distinct(words)
+        out.append((np.ascontiguousarray(words[:, first].T).view(f"S{8 * n_words}").ravel(), index))
+    return out
+
+
+def _read_plain_events(path: str | Path) -> EventLog:
+    """The event log at ``path`` if it is plain, else ``ValueError``.
+
+    A plain log holds no ``"``, CR or NUL byte, has the exact header, a row of 4 fields
+    of at most ``_FIELD_CAP`` bytes on each line that is not empty, and only valid
+    values.  It is read a bounded block of lines at a time: numpy finds each row's
+    commas, packs each field into 64-bit words and keys each block's distinct cells.
+    The blocks' distinct cells are keyed again, and each distinct cell of the log is
+    decoded once and given the value ``read_rows`` gives it.
+    """
+    blocks = []
+    with open(path, "rb") as fh:
+        if fh.readline(_LINE_CAP).rstrip(b"\n").decode().split(",") != _EVENT_HEADER:
+            raise ValueError("not the exact header")
+        tail = b""
+        while block := fh.read(_PLAIN_BLOCK_BYTES):
+            lines, _, tail = (tail + block).rpartition(b"\n")
+            if lines:
+                blocks.append(_plain_block(lines))
+            if len(tail) > _LINE_CAP:
+                raise ValueError("a line too long for the byte path")
+        if tail:
+            blocks.append(_plain_block(tail))
+    sets: dict[tuple[str, ...], int] = {}
+    value_of = (str, parse_timestamp, lambda cell: _set_code(sets, cell), _parse_float)
+    columns = []
+    for value, parts in zip(value_of, zip(*blocks) if blocks else ([],) * 4):
+        # The blocks' distinct cells, padded to one width, keyed again.
+        cells = np.concatenate([np.empty(0, "S8"), *(c for c, _ in parts)])
+        first, inverse = _distinct(cells.view("<u8").reshape(cells.size, cells.itemsize // 8).T)
+        values = [value(cell.decode()) for cell in cells[first].tolist()]
+        offsets = np.cumsum([0, *(c.size for c, _ in parts)])
+        index = np.concatenate([np.empty(0, np.intp), *(i + o for (_, i), o in zip(parts, offsets))])
+        columns.append((values, inverse[index]))
+    (users, user), (stamps, stamp), (set_of_cell, genre_set), (fractions, fraction) = columns
+    for user_id in users:
+        _check_user_id(user_id)
+    return EventLog(
+        tuple(users),
+        user,
+        np.array(stamps, dtype=float)[stamp],
+        tuple(sets),
+        np.array(set_of_cell, dtype=np.intp)[genre_set],
+        np.array(fractions, dtype=float)[fraction],
+    )
 
 
 def write_events(events: EventLog | Iterable[WatchEvent], path: str | Path) -> None:

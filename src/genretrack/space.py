@@ -9,6 +9,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .ioutil import _text_lines
+
 __all__ = [
     "ConceptSpace",
     "UnknownGenreError",
@@ -113,7 +115,7 @@ def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
 
 def read_vocabulary(path: str | Path) -> ConceptSpace:
     """Read a genre vocabulary file: one label per line, order defines the axis."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _text_lines(path)
     labels = [line.strip() for line in lines if line.strip()]
     if not labels:
         raise ValueError(f"vocabulary file {path} contains no labels")

@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 import genretrack as gt
+from genretrack import profiles
 from genretrack.ioutil import _check_user_id, csv_cells, parse_timestamp
 from genretrack.profiles import _EVENT_HEADER, _labels
 from genretrack.synthetic import (
@@ -325,25 +326,27 @@ def reference_read_events(path) -> gt.EventLog:
     """The row-by-row event reader that read_events must match, column for column.
 
     Each row is checked as it is read, and each distinct user id once, at its first
-    row; a faulty one raises ValueError naming path:line and the cause.  It reads a
-    fraction with float(), so it also takes 0.1_5 and non-ASCII digits, which
-    read_events refuses as numpy's C parser does.
+    row; a faulty one raises ValueError naming path:line and the cause, a byte that is
+    not UTF-8 first.  It reads a fraction with float(), so it also takes 0.1_5 and
+    non-ASCII digits, which read_events refuses as numpy's C parser does.
     """
     users: dict[str, int] = {}
     sets: dict[tuple[str, ...], int] = {}
     set_of_text: dict[str, int] = {}  # raw genres cell -> genre-set code, -1 if empty
     user, genre_set = array("q"), array("q")
     timestamps, fractions = array("d"), array("d")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ValueError(f"event log {path} is empty")
+        _refuse_escaped_bytes(header, f"{path}:{reader.line_num}")
         if [h.strip() for h in header] != _EVENT_HEADER:
             raise ValueError(f"event log {path} has header {header!r}, expected {_EVENT_HEADER!r}")
         for row in reader:
             if not row:
                 continue
+            _refuse_escaped_bytes(row, f"{path}:{reader.line_num}")
             if len(row) != 4:
                 raise ValueError(f"{path}:{reader.line_num}: expected 4 fields, got {len(row)}")
             user_id, raw_ts, raw_genres, raw_fraction = row
@@ -375,6 +378,25 @@ def reference_read_events(path) -> gt.EventLog:
         np.frombuffer(genre_set, dtype=np.int64),
         np.frombuffer(fractions, dtype=np.float64),
     )
+
+
+def _refuse_escaped_bytes(row: list[str], where: str) -> None:
+    """Raise ``where: byte 0x.. is not UTF-8`` for the first byte errors="surrogateescape"
+    escaped in ``row``."""
+    for cell in row:
+        try:
+            cell.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"{where}: byte 0x{ord(cell[exc.start]) - 0xDC00:02x} is not UTF-8") from None
+
+
+def takes_byte_path(path) -> bool:
+    """Whether read_events reads ``path`` by its byte path, not by read_rows."""
+    try:
+        profiles._read_plain_events(path)
+    except ValueError:
+        return False
+    return True
 
 
 def read_both(path):
@@ -423,24 +445,50 @@ def _timestamp_cell(rng: np.random.Generator) -> str:
     return iso + "Z" if kind == 2 else iso.replace("T", " ") + "+01:00"
 
 
+# Rows read_events' byte path sees in a plain log: a NUL byte, a byte that is not UTF-8,
+# a field just past the byte cap, and (valid) fields at the cap, one of them non-ASCII.
+CAP = profiles._FIELD_CAP
+EDGE_ROWS = [
+    b"u\x00v,5,Drama,1", b"u\xff,5,Drama,1", b"u,5,Drama,0.5\xa0", b"L" * (CAP + 1) + b",5,Drama,1",
+    b"C" * CAP + b",5,Drama,1", "\u65e5".encode() * (CAP // 3) + b"x,5,Drama,0.25",
+    b"u,5," + b"Drama;" * (CAP // 6) + b"News,1", b"u,0." + b"1" * (CAP - 2) + b",Drama,1",
+]
+
+
 def check_read_events_matches_reference(rng: np.random.Generator, tmp_path: Path) -> None:
     """read_events gives the reference reader's columns on a valid file, and on a faulty
     one its first-fault message, over awkward ids, blank lines, mixed line ends, ISO and
-    numeric timestamps and quoted multi-line cells."""
-    ends = ["\n", "\r\n", "\r"]
-    lines = ["user_id,timestamp,genres,watched_fraction" + ends[int(rng.integers(0, 2))]]
+    numeric timestamps and quoted multi-line cells.  Half the cases are plain logs (LF
+    ends, no quotes), and read_events takes its byte path on exactly the valid plain
+    logs whose fields all fit the byte cap."""
+    plain = rng.random() < 0.5
+    ends = ["\n"] if plain else ["\n", "\r\n", "\r"]
+    ids, genres_cells, bad_rows = (
+        [cell for cell in cells if '"' not in "".join(csv_cells([cell])) and "\n" not in cell]
+        if plain else cells
+        for cells in (AWKWARD_IDS, GENRES_CELLS, BAD_ROWS)
+    )
+    lines = ["user_id,timestamp,genres,watched_fraction" + str(rng.choice(ends[:2]))]
     for _ in range(int(rng.integers(0, 25))):
-        user_id, genres = (str(rng.choice(cells)) for cells in (AWKWARD_IDS, GENRES_CELLS))
+        user_id, genres = (str(rng.choice(cells)) for cells in (ids, genres_cells))
         fraction = str(rng.choice(["0", "1", " 0.5 ", repr(float(rng.random()))]))
         cells = csv_cells([user_id, _timestamp_cell(rng), genres]) + [fraction]
         lines.append(",".join(cells) + str(rng.choice(ends)))
         if rng.random() < 0.2:
             lines.append(str(rng.choice(ends)))  # a blank line
+    rows = [line.encode() for line in lines]
     for _ in range(int(rng.integers(0, 3))):
-        lines.insert(int(rng.integers(1, len(lines) + 1)), str(rng.choice(BAD_ROWS)) + "\n")
+        rows.insert(int(rng.integers(1, len(rows) + 1)), str(rng.choice(bad_rows)).encode() + b"\n")
+    if rng.random() < 0.3:
+        rows.insert(int(rng.integers(1, len(rows) + 1)), EDGE_ROWS[int(rng.integers(0, len(EDGE_ROWS)))] + b"\n")
     path = tmp_path / "events.csv"
-    path.write_text("".join(lines), encoding="utf-8", newline="")
+    path.write_bytes(data := b"".join(rows))
     assert_reads_like_reference(path)
+    body = data.partition(b"\n")[2]
+    fits = all(len(field) <= CAP for line in body.split(b"\n") for field in line.split(b","))
+    plain_bytes = not any(byte in data for byte in (b'"', b"\r", b"\0"))
+    valid = not isinstance(read_both(path)[0], str)
+    assert takes_byte_path(path) == (plain_bytes and fits and valid)
 
 
 def reference_write_table(path, header: Sequence[str], row_format: str, rows: Iterable) -> None:

@@ -460,6 +460,58 @@ class TestErrors:
         assert capsys.readouterr().err == f"genretrack evaluate: error: {index}:4: {cause}\n"
         assert not (tmp_path / "o").exists()
 
+class TestUndecodableBytes:
+    """A byte that is not UTF-8 in any input names the file and the line."""
+
+    @staticmethod
+    def spoil(source: Path, target: Path, line: int) -> Path:
+        """``source`` with the byte 0xff put at the start of its ``line``-th line."""
+        lines = source.read_bytes().splitlines(keepends=True)
+        lines[line - 1] = b"\xff" + lines[line - 1]
+        target.write_bytes(b"".join(lines))
+        return target
+
+    def argv(self, pipeline, command: str, **inputs: Path) -> list[str]:
+        sim, built, tracked = pipeline["sim"], pipeline["built"], pipeline["tracked"]
+        given = {
+            "build-profiles": {"events": sim / "events.csv", "instants": sim / "instants.txt"},
+            "track": {"profiles": built / "built_profiles.csv"},
+            "recommend": {
+                "final-states": tracked / "final_states.csv", "profiles": built / "built_profiles.csv",
+                "events": sim / "events.csv",
+            },
+        }[command]
+        given = {"vocabulary": sim / "vocabulary.txt", **given, **inputs}
+        config = [f"--config={given.pop('config')}"] if "config" in given else []
+        return [command, *config, *(f"--{flag}={path}" for flag, path in given.items())]
+
+    @pytest.mark.parametrize(
+        "command, flag, source, line",
+        [
+            ("build-profiles", "events", ("sim", "events.csv"), 4),
+            ("recommend", "events", ("sim", "events.csv"), 9),
+            ("build-profiles", "vocabulary", ("sim", "vocabulary.txt"), 2),
+            ("build-profiles", "instants", ("sim", "instants.txt"), 3),
+            ("track", "profiles", ("built", "built_profiles.csv"), 5),
+        ],
+        ids=["events", "events_recommend", "vocabulary", "instants", "profiles"],
+    )
+    def test_input_names_its_line(self, pipeline, tmp_path, capsys, command, flag, source, line):
+        spoiled = self.spoil(pipeline[source[0]] / source[1], tmp_path / source[1], line)
+        out = tmp_path / "o"
+        assert run([*self.argv(pipeline, command, **{flag: spoiled}), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"genretrack {command}: error: {spoiled}:{line}: byte 0xff is not UTF-8\n"
+        assert not out.exists()
+
+    def test_config_file_names_its_line(self, pipeline, tmp_path, capsys):
+        config = tmp_path / "build.cfg"
+        config.write_bytes(b"# caf\xe9\ndecay=0.5\n")
+        out = tmp_path / "o"
+        assert run([*self.argv(pipeline, "build-profiles", config=config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"genretrack build-profiles: error: {config}:1: byte 0xe9 is not UTF-8\n"
+        assert not out.exists()
+
+
 class TestTrackMatchesLibrary:
     def test_matches_track_series_within_print_precision(self, pipeline):
         """CLI ``track`` output matches the library's dense ``track_series`` within 1e-9."""

@@ -250,6 +250,18 @@ class TestReadTable:
         with pytest.raises(ValueError, match=re.escape(expected) + "$"):
             read_table(path, ["user_id", "a"], "table", labeled=True)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [(b"user_id,a\nu,1\nv\xff,2\n", 3), (b"user_id,a\r\nu,1\r\nv,2\xc3\r\n", 3), (b"user_\x80id,a\nu,1\n", 1)],
+        ids=["row", "crlf_row", "header"],
+    )
+    def test_byte_not_utf8_names_its_line(self, tmp_path, text, line):
+        path = tmp_path / "table.csv"
+        path.write_bytes(text)
+        byte = re.search(rb"[\x80-\xff]", text)[0][0]
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: byte 0x{byte:02x} is not UTF-8") + "$"):
+            read_table(path, ["user_id", "a"], "table", labeled=True)
+
     def test_header_cells_are_stripped(self, tmp_path):
         path = table_file(tmp_path, "u,1,2\n", header=(" user_id", "a ", " b\t"))
         labels, values = read_table(path, ["user_id", "a", "b"], "table", labeled=True)

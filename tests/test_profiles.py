@@ -14,6 +14,7 @@ from properties import (
     check_read_events_matches_reference,
     reference_read_events,
     run_many,
+    takes_byte_path,
 )
 
 
@@ -505,6 +506,93 @@ class TestReadEventsAgainstReference:
         path.write_text(self.HEADER + "".join(rows), encoding="utf-8")
         assert len(gt.read_events(path)) == 40
         assert parsed == ["0", "1", "2", "3"] and split == ["a", "b"]
+
+
+class TestReadEventsBytePath:
+    """Which logs read_events cuts with numpy byte operations, and that those read alike."""
+
+    HEADER = b"user_id,timestamp,genres,watched_fraction\n"
+    CAP = profiles._FIELD_CAP
+
+    def write(self, tmp_path, *rows: bytes):
+        path = tmp_path / "events.csv"
+        path.write_bytes(self.HEADER + b"".join(row + b"\n" for row in rows))
+        return path
+
+    def test_a_written_log_takes_the_byte_path(self, tmp_path):
+        scenario = gt.generate_scenario(gt.ScenarioConfig(d=5, K=6, n_users=4, seed=2), programs_per_day=7)
+        path = tmp_path / "events.csv"
+        gt.write_events(scenario.events, path)
+        assert takes_byte_path(path)
+        assert_same_log(gt.read_events(path), scenario.events)
+        assert_same_log(profiles._read_plain_events(path), profiles._read_event_rows(path))
+
+    @pytest.mark.parametrize("size, byte_path", [(CAP, True), (CAP + 1, False)], ids=["at_cap", "past_cap"])
+    @pytest.mark.parametrize("column", range(4))
+    def test_a_field_past_the_byte_cap_takes_read_rows(self, tmp_path, size, byte_path, column):
+        fields = [b"u", b"5", b"Drama", b"1"]
+        fields[column] = {0: b"U", 1: b"0", 2: b" ", 3: b"0"}[column] * (size - len(fields[column])) + fields[column]
+        path = self.write(tmp_path, b"v,1,News,0.5", b",".join(fields))
+        assert takes_byte_path(path) == byte_path
+        assert len(gt.read_events(path)) == 2
+        assert_reads_like_reference(path)
+
+    @pytest.mark.parametrize("row", [b'"u",5,Drama,1', b"u,5,Drama,1\r", b"u\x00v,5,Drama,1"], ids=["quote", "cr", "nul"])
+    def test_a_quote_cr_or_nul_byte_takes_read_rows(self, tmp_path, row):
+        path = self.write(tmp_path, b"v,1,News,0.5", row)
+        assert not takes_byte_path(path)
+        assert_reads_like_reference(path)
+
+    @pytest.mark.parametrize("header", [b"user_id, timestamp,genres,watched_fraction\n", b"user_id,timestamp,genres,watched_fraction"])
+    def test_a_stripped_header_or_a_header_alone_reads_alike(self, tmp_path, header):
+        path = tmp_path / "events.csv"
+        path.write_bytes(header)
+        assert takes_byte_path(path) == (header == self.HEADER[:-1])
+        assert len(gt.read_events(path)) == 0
+
+    def test_last_row_without_a_newline_is_read(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_bytes(self.HEADER + b"u,1,Drama,1\n\nv,2,News,0.5")
+        assert takes_byte_path(path)
+        assert len(gt.read_events(path)) == 2
+        assert_reads_like_reference(path)
+
+    def test_a_hash_collision_is_caught(self):
+        # Keys fold the words as key * K + word: (0, K) and (1, 0) share the key K.
+        k = 0x9E3779B97F4A7C15
+        words = np.array([[0, 1, 0], [k, 0, k]], dtype=np.uint64)
+        with pytest.raises(ValueError, match="share a key"):
+            profiles._distinct(words)
+        first, index = profiles._distinct(np.array([[7, 3, 7, 3, 9]], dtype=np.uint64))
+        assert first.tolist() == [0, 1, 4] and index.tolist() == [0, 1, 0, 1, 2]
+
+    def test_rows_across_many_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(profiles, "_PLAIN_BLOCK_BYTES", 64)
+        rows = [f"u{i % 5},{i % 9},{'Drama' if i % 2 else 'News;Drama'},0.{i % 7}".encode() for i in range(200)]
+        path = self.write(tmp_path, *rows[:100], b"", *rows[100:])
+        assert takes_byte_path(path)
+        assert_reads_like_reference(path)
+        assert_same_log(profiles._read_plain_events(path), profiles._read_event_rows(path))
+
+    @pytest.mark.parametrize("ending", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    def test_a_byte_not_utf8_names_its_line(self, tmp_path, ending):
+        path = tmp_path / "events.csv"
+        rows = [self.HEADER[:-1], b"u,1,Drama,1", b"v\xff,2,News,1", b"w,3,Drama,1"]
+        path.write_bytes(b"".join(row + ending for row in rows))
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: byte 0xff is not UTF-8")):
+            gt.read_events(path)
+        assert_reads_like_reference(path)
+
+    def test_an_earlier_faulty_row_is_named_before_a_later_bad_byte(self, tmp_path):
+        path = self.write(tmp_path, b"u,1,Drama,1", b"u,2,Drama,2", b"u,3,Dr\xe9ma,1")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: watched_fraction must be in [0, 1], got 2.0")):
+            gt.read_events(path)
+
+    def test_a_bad_byte_in_the_header_names_line_1(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_bytes(b"user_id\xff,timestamp,genres,watched_fraction\nu,1,Drama,1\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1: byte 0xff is not UTF-8")):
+            gt.read_events(path)
 
 
 class TestProfileIO:

@@ -237,3 +237,27 @@ def test_final_state_floats_read_back_bit_for_bit(tmp_path_factory, space, data)
     assert sorted(back) == ["a", "b", "c"]
     for user_id, x_hat in back.items():
         assert same_bits(x_hat, states[user_id].x_hat)
+
+
+# Labels a vocabulary can hold: quotes, backslashes, commas, "=" and non-ASCII text.
+AWKWARD_LABELS = ['say "hi"', "back\\slash", "sci,fi", "a=b", "Café", "日本", "‧dot", '""']
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_recommendations_read_back_unchanged(tmp_path_factory, data):
+    space = gt.new_space(AWKWARD_LABELS)
+    recs = []
+    for user_id in data.draw(ID_LISTS):
+        deltas = gt.concept_deltas(
+            np.array(data.draw(st.lists(st.floats(-1, 1), min_size=space.d, max_size=space.d))),
+            np.zeros(space.d),
+            theta=0.25,
+        )
+        watched = data.draw(st.sets(st.sampled_from(AWKWARD_LABELS)))
+        recs.append(gt.recommend(deltas, watched, space, user_id, data.draw(st.sampled_from(["", "2010-03-04"]))))
+    path = tmp_path_factory.mktemp("recs") / "recommendations.jsonl"
+    gt.write_recommendations(recs, path)
+    assert gt.read_recommendations(path) == recs
+    # One line per record, even for an id holding a character str.splitlines splits at.
+    assert len(path.read_bytes().split(b"\n")) == len(recs) + 1

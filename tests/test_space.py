@@ -165,3 +165,9 @@ class TestVocabularyIO:
         path.write_text("\n\n", encoding="utf-8")
         with pytest.raises(ValueError):
             gt.read_vocabulary(path)
+
+    def test_byte_not_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(b"Action\n\nCaf\xe9\nDrama\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: byte 0xe9 is not UTF-8") + "$"):
+            gt.read_vocabulary(path)
