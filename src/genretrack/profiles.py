@@ -6,9 +6,10 @@ Snapshots of the running profile taken at a fixed grid of instants form the
 observation sequence that the tracker consumes.
 
 A log is held as an :class:`EventLog`: columns of user codes, timestamps,
-genre-set codes and fractions, which :func:`read_events` fills, handling each
-distinct cell once: from numpy byte operations on a plain log (LF ends, no
-quotes, short fields), else from numpy's parse of the CSV rows.  :func:`build_series`
+genre-set codes and fractions, which :func:`read_events` fills.  It finds each
+column's distinct cells with numpy byte operations on a plain log (LF ends, no
+quotes, short fields), else from numpy's parse of the CSV rows, and one decode
+step then handles each distinct cell once.  :func:`build_series`
 folds every user at once on those columns and performs, cell by cell, the
 additions of :func:`interest_update` in the same order, so its profiles are
 bit-identical to folding one event at a time.
@@ -318,7 +319,7 @@ def _labels(raw_genres: str) -> tuple[str, ...]:
     return tuple(sorted({g.strip() for g in raw_genres.split(";")} - {""}))
 
 
-_EVENT_DTYPE = np.dtype([(name, object) for name in _EVENT_HEADER[:3]] + [(_EVENT_HEADER[3], "f8")])
+_EVENT_DTYPE = np.dtype([(name, object) for name in _EVENT_HEADER])
 
 
 def _encode(cells: np.ndarray, codes: dict[str, int]) -> np.ndarray:
@@ -353,37 +354,36 @@ def read_events(path: str | Path) -> EventLog:
 
 def _read_event_rows(path: str | Path) -> EventLog:
     """The event log at ``path``, through :func:`ioutil.read_rows`."""
-    # Each column's distinct cells, each to its code, in first-seen order.
-    users: dict[str, int] = {}
-    stamps: dict[str, int] = {}
-    genres: dict[str, int] = {}
-    none = np.empty(0, np.intp)
-    user_codes, stamp_codes, genre_codes, fractions = [none], [none], [none], [np.empty(0)]
+    # Per column: its distinct cells, each to its code, in first-seen order; its rows' codes.
+    cells: list[dict[str, int]] = [{} for _ in _EVENT_HEADER]
+    codes: list[list[np.ndarray]] = [[np.empty(0, np.intp)] for _ in _EVENT_HEADER]
     with read_rows(path, _EVENT_HEADER, "event log", _EVENT_DTYPE, _check_event_row) as chunks:
         for chunk in chunks:
-            user_codes.append(_encode(chunk["user_id"], users))
-            stamp_codes.append(_encode(chunk["timestamp"], stamps))
-            genre_codes.append(_encode(chunk["genres"], genres))
-            fractions.append(chunk["watched_fraction"].copy())  # a view would keep the text
-        for user_id in users:
-            _check_user_id(user_id)
-        sets: dict[tuple[str, ...], int] = {}
-        set_of_cell = np.array([_set_code(sets, c) for c in genres], dtype=np.intp)
-        stamp_values = np.array(list(map(parse_timestamp, stamps)), dtype=float)
-        # EventLog refuses a non-finite timestamp and a fraction outside [0, 1].
-        return EventLog(
-            tuple(users),
-            np.concatenate(user_codes),
-            stamp_values[np.concatenate(stamp_codes)],
-            tuple(sets),
-            set_of_cell[np.concatenate(genre_codes)],
-            np.concatenate(fractions),
-        )
+            for name, seen, parts in zip(_EVENT_HEADER, cells, codes):
+                parts.append(_encode(chunk[name], seen))
+        return _event_log([(list(seen), np.concatenate(parts)) for seen, parts in zip(cells, codes)])
 
 
-def _set_code(sets: dict[tuple[str, ...], int], cell: str) -> int:
-    """The code in ``sets`` of a genres cell's label set; -1, which EventLog refuses, if empty."""
-    return sets.setdefault(labels, len(sets)) if (labels := _labels(cell)) else -1
+def _event_log(columns: Sequence[tuple[Sequence[str], np.ndarray]]) -> EventLog:
+    """The log whose 4 columns each hold (its distinct cells in first-seen order, each row's
+    index into them).  Each distinct cell is decoded once: a user id checked, a timestamp and
+    a fraction parsed, a genres cell split; EventLog refuses a non-finite timestamp and a
+    fraction outside [0, 1]."""
+    (users, user), (stamps, stamp), (genres, genre), (fractions, fraction) = columns
+    for user_id in users:
+        _check_user_id(user_id)
+    sets: dict[tuple[str, ...], int] = {}
+    label_sets = [_labels(cell) for cell in genres]
+    # A cell with no label gets -1, which EventLog refuses.
+    set_of_cell = np.array([sets.setdefault(s, len(sets)) if s else -1 for s in label_sets], dtype=np.intp)
+    return EventLog(
+        tuple(users),
+        user,
+        np.array(list(map(parse_timestamp, stamps)), dtype=float)[stamp],
+        tuple(sets),
+        set_of_cell[genre],
+        np.array(list(map(_parse_float, fractions)), dtype=float)[fraction],
+    )
 
 
 # The byte path reads a log this many bytes at a time, cut after the block's last newline.
@@ -472,28 +472,15 @@ def _read_plain_events(path: str | Path) -> EventLog:
                 raise ValueError("a line too long for the byte path")
         if tail:
             blocks.append(_plain_block(tail))
-    sets: dict[tuple[str, ...], int] = {}
-    value_of = (str, parse_timestamp, lambda cell: _set_code(sets, cell), _parse_float)
     columns = []
-    for value, parts in zip(value_of, zip(*blocks) if blocks else ([],) * 4):
+    for parts in zip(*blocks) if blocks else ([],) * 4:
         # The blocks' distinct cells, padded to one width, keyed again.
         cells = np.concatenate([np.empty(0, "S8"), *(c for c, _ in parts)])
         first, inverse = _distinct(cells.view("<u8").reshape(cells.size, cells.itemsize // 8).T)
-        values = [value(cell.decode()) for cell in cells[first].tolist()]
         offsets = np.cumsum([0, *(c.size for c, _ in parts)])
         index = np.concatenate([np.empty(0, np.intp), *(i + o for (_, i), o in zip(parts, offsets))])
-        columns.append((values, inverse[index]))
-    (users, user), (stamps, stamp), (set_of_cell, genre_set), (fractions, fraction) = columns
-    for user_id in users:
-        _check_user_id(user_id)
-    return EventLog(
-        tuple(users),
-        user,
-        np.array(stamps, dtype=float)[stamp],
-        tuple(sets),
-        np.array(set_of_cell, dtype=np.intp)[genre_set],
-        np.array(fractions, dtype=float)[fraction],
-    )
+        columns.append(([cell.decode() for cell in cells[first].tolist()], inverse[index]))
+    return _event_log(columns)
 
 
 def write_events(events: EventLog | Iterable[WatchEvent], path: str | Path) -> None:

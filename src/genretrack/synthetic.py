@@ -58,6 +58,9 @@ _INIT_KINEMATIC_SCALE = 0.01
 _KICK_SCALE = 0.05
 # Spike probability per observation entry for the bursty regime.
 _SPIKE_PROB = 0.05
+# Most (event, genre) cells generate_events draws for one user, as an (events, d) float
+# array: 256 MiB.  A user whose days pass it is refused before anything is allocated.
+_MAX_EVENT_CELLS = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -211,8 +214,8 @@ def generate_events(
     ``programs_per_day`` single-genre events, more if needed to keep
     watched_fraction <= 1, each event's genre drawn categorically in
     proportion to the per-axis increment.  Days with no positive increment
-    produce no events; one whose count overflows int64, or whose events cannot be
-    allocated, raises ValueError.
+    produce no events; one whose count overflows int64, or that brings a user's
+    events times d past ``_MAX_EVENT_CELLS``, raises ValueError naming the user and day.
     Timestamps are integer seconds, evenly spread inside the day, strictly
     before the day's snapshot instant.  Users are processed in sorted id order,
     each with one uniform draw for all its events from a per-index stream, so
@@ -240,13 +243,13 @@ def generate_events(
         for k in days[~(ceils < 2.0**63)][:1].tolist():  # checked before the int64 cast
             raise ValueError(f"series for {user_id!r}: day {k} total {totals[k]:g} overflows int64")
         n = np.maximum(ceils.astype(np.int64), programs_per_day)
+        # Summed in floats, which cannot wrap; the first day to pass the ceiling is named.
+        for k in np.flatnonzero(np.cumsum(n, dtype=float) * space.d > _MAX_EVENT_CELLS)[:1].tolist():
+            before = f" after {int(n[:k].sum())} on earlier days" if k else ""
+            cause = f"day {days[k]} has {n[k]} events{before}, more than can be allocated"
+            raise ValueError(f"series for {user_id!r}: {cause}")
         # Each event's row among the event days, and its place 1..n within its day.
-        try:  # numpy's own refusal of a size it cannot allocate names no day
-            row = np.repeat(np.arange(days.size), n)
-        except (ValueError, MemoryError):
-            k = int(np.argmax(n))
-            cause = f"day {days[k]} has {n[k]} events, more than can be allocated"
-            raise ValueError(f"series for {user_id!r}: {cause}") from None
+        row = np.repeat(np.arange(days.size), n)
         place = np.arange(1, row.size + 1) - (np.cumsum(n) - n)[row]
         # rng.choice(d, n, p=delta/total) per day as numpy computes it, one uniform per event.
         cdf = (deltas[days] / totals[days, None]).cumsum(axis=1)

@@ -25,6 +25,9 @@ The dense filter (:func:`track_series`) solves against numpy's Cholesky
 factor of S; it serves models whose noise couples axes and is the reference
 for the batched engine (:func:`track_users`), where S is diagonal and the
 solve a division.  No explicit matrix inverse is formed anywhere.
+
+The P and K recursion never sees a measurement, so the batched engine computes
+its gain schedule from the model and p0 alone, then makes one data pass.
 """
 
 from __future__ import annotations
@@ -410,8 +413,12 @@ def track_series(
     )
 
 
-def _per_axis_blocks(model: TrackingModel) -> tuple[np.ndarray, np.ndarray]:
-    """Split Q and R into per-axis pieces, or fail if they couple axes."""
+def _gain_schedule(model: TrackingModel, p0: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis covariances P_0..P_n, (n + 1, d, 3, 3), and gains K_0..K_{n-1}, (n, d, 3),
+    of n steps from p0*I: they depend only on the model and p0.  Raises ValueError for
+    p0 <= 0 or noise that couples axes, and the error of the first step that fails a check."""
+    if not p0 > 0:
+        raise ValueError(f"initial covariance scale p0 must be > 0, got {p0}")
     d, idx = model.d, np.arange(model.d)
     if np.any(model.R != np.diag(np.diag(model.R))):
         raise ValueError("R couples genre axes; decoupled tracking needs a diagonal R")
@@ -420,7 +427,25 @@ def _per_axis_blocks(model: TrackingModel) -> tuple[np.ndarray, np.ndarray]:
     Q[:, idx, :, idx] = 0.0
     if np.any(Q != 0.0):
         raise ValueError("Q couples genre axes; decoupled tracking needs per-axis blocks")
-    return Qb, np.diag(model.R).copy()
+    A3 = _transition_block(model.T, model.alpha)
+    P = np.broadcast_to(p0 * np.eye(3), (d, 3, 3)).copy()
+    covariances, gains = [P], []
+    for k in range(n):
+        S = P[:, 0, 0] + np.diag(model.R)  # diagonal: its entries are its eigenvalues
+        _check_conditioning(S, k)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
+            AP = A3 @ P                        # (d, 3, 3)
+            cross = AP[:, :, 0]                # A P e1 per axis
+            K = cross / S[:, None]
+            P = AP @ A3.T - cross[:, :, None] * cross[:, None, :] / S[:, None, None] + Qb
+            P = 0.5 * (P + np.transpose(P, (0, 2, 1)))
+        if not np.all(np.isfinite(P)):
+            raise DivergenceError(f"prediction covariance is not finite at step {k + 1}")
+        if np.linalg.eigvalsh(P).min() < -_psd_tolerance(P[:, (0, 1, 2), (0, 1, 2)]):
+            raise DivergenceError(f"prediction covariance lost PSD at step {k + 1}")
+        covariances.append(P)
+        gains.append(K)
+    return np.stack(covariances), np.reshape(gains, (n, d, 3))
 
 
 def track_users(
@@ -428,18 +453,17 @@ def track_users(
 ) -> list[TrackRecord]:
     """Track every series at once, one filter per genre axis; records in input order.
 
-    Without cross-axis noise (every :func:`build_model` output) the gain and
-    covariance recursion is d 3x3 recursions that never see the data: P_k and
-    K_k are computed once, a (d, 3, 3) stack per step, with one conditioning
-    and one PSD check, and all users advance together, one (N, d, 3) update
-    per step; a shorter series uses a prefix.  Records match
+    Without cross-axis noise (every :func:`build_model` output) P_k and K_k
+    never see the data: :func:`_gain_schedule` computes them once, for the
+    longest series, and one data pass advances all users together, one
+    (N, d, 3) update per step; a shorter series uses a prefix.  Records match
     :func:`track_series` to rounding; equal lengths share read-only steps,
-    gain norms, traces and final P and gain.  Raises ``ValueError`` when Q or
-    R couples axes.
+    gain norms, traces and final P and gain.  A fault of the model or p0,
+    such as Q or R coupling axes (``ValueError``), is raised before any
+    series is checked.
     """
-    if not p0 > 0:
-        raise ValueError(f"initial covariance scale p0 must be > 0, got {p0}")
-    Qb, r_diag = _per_axis_blocks(model)
+    lengths = np.array([series.n_instants for series in series_list], dtype=np.intp)
+    covariances, gains = _gain_schedule(model, p0, int(lengths.max(initial=0)))
     d = model.d
     for series in series_list:
         uid, n_obs = series.user_id, series.n_instants
@@ -453,7 +477,6 @@ def track_users(
         return []
 
     # Longest series first, so the users still running at step k are rows [:active[k]].
-    lengths = np.array([series.n_instants for series in series_list])
     order = np.argsort(-lengths, kind="stable")
     n_users, n_max = len(order), int(lengths[order[0]])
     active = (lengths[:, None] > np.arange(n_max)).sum(axis=0)
@@ -465,31 +488,15 @@ def track_users(
     # Per user and axis, the state row (position, velocity, acceleration).
     X = np.zeros((n_users, d, 3))
     X[:, :, 0] = Z[:, 0]
-    P = np.broadcast_to(p0 * np.eye(3), (d, 3, 3)).copy()
-    covariances, gains = [P], []
     predicted = np.empty((n_users, n_max - 1, d))
     innovations = np.empty_like(predicted)
-    for k in range(n_max):
-        S = P[:, 0, 0] + r_diag  # diagonal: its entries are its eigenvalues
-        _check_conditioning(S, k)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
-            AP = A3 @ P                        # (d, 3, 3)
-            cross = AP[:, :, 0]                # A P e1 per axis
-            K = cross / S[:, None]
-            P = AP @ A3.T - cross[:, :, None] * cross[:, None, :] / S[:, None, None] + Qb
-            P = 0.5 * (P + np.transpose(P, (0, 2, 1)))
-        if not np.all(np.isfinite(P)):
-            raise DivergenceError(f"prediction covariance is not finite at step {k + 1}")
+    for k, K in enumerate(gains):
         m = active[k]
         nu = Z[:m, k] - X[:m, :, 0]
         if k >= 1:
             predicted[:m, k - 1] = X[:m, :, 0]
             innovations[:m, k - 1] = nu
         X[:m] = X[:m] @ A3.T + K * nu[:, :, None]
-        if np.linalg.eigvalsh(P).min() < -_psd_tolerance(P[:, (0, 1, 2), (0, 1, 2)]):
-            raise DivergenceError(f"prediction covariance lost PSD at step {k + 1}")
-        covariances.append(P)
-        gains.append(K)
 
     # Shared by every series: entry k belongs to step k, and a series of n
     # observations reads entries 1..n-1 and the dense P and K after step n-1.

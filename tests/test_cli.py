@@ -336,6 +336,25 @@ class TestErrors:
         assert f"{where}: user id 'x\\ny' holds a control character" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_summary_keys_parse_back_to_an_id_holding_equals_and_dots(self, tmp_path):
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("a\nb\n", encoding="utf-8")
+        profiles_csv = tmp_path / "profiles.csv"
+        rows = [f"{uid},{t},{0.1 * t},{0.5 + 0.2 * t}" for uid in ("a=b.c", "u") for t in (1, 2, 3, 4)]
+        profiles_csv.write_text("user_id,instant,a,b\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        common = ["--vocabulary", str(vocab), "--profiles", str(profiles_csv)]
+        assert run(["track", *common, "--out", str(tmp_path / "tracked")]) == 0
+        tracks = str(tmp_path / "tracked" / "tracks")
+        assert run(["evaluate", *common, "--tracks", tracks, "--out", str(tmp_path / "scored")]) == 0
+        metrics: dict[str, dict[str, str]] = {}
+        for line in (tmp_path / "scored" / "summary.txt").read_text(encoding="utf-8").splitlines():
+            key, _, value = line.rpartition("=")
+            if key.startswith("user."):
+                user_id, _, metric = key[len("user."):].rpartition(".")
+                metrics.setdefault(user_id, {})[metric] = value
+        assert sorted(metrics) == ["a=b.c", "u"]
+        assert metrics["a=b.c"]["n_steps"] == "3" and len(metrics["a=b.c"]) == 6
+
     def test_empty_event_log(self, tmp_path, capsys):
         vocab = tmp_path / "vocab.txt"
         vocab.write_text("a\n", encoding="utf-8")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import genretrack as gt
+from genretrack import synthetic
 from genretrack.cli import main
 from properties import (
     assert_same_log, check_events_match_reference, check_users_match_reference, run_many,
@@ -265,13 +266,28 @@ class TestGenerateEvents:
             gt.generate_events(series, space, programs_per_day=3, seed=0)
 
     def test_day_count_numpy_cannot_allocate_names_user_day_and_count(self):
-        # The count fits int64, so the overflow check passes it; numpy refuses the size
-        # before it allocates anything.
+        # The count fits int64, so the overflow check passes it; the event ceiling refuses
+        # it before anything is allocated.
         space = gt.new_space(["a", "b"])
         series = {"big": gt.ProfileSeries("big", gt.day_instants(1), [[2.0**62, 2.0**62 - 1024]])}
         message = "series for 'big': day 0 has 9223372036854774784 events, more than can be allocated"
         with pytest.raises(ValueError, match=re.escape(message) + "$"):
             gt.generate_events(series, space, programs_per_day=3, seed=0)
+
+    def test_events_past_the_ceiling_refused_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(synthetic, "_MAX_EVENT_CELLS", 16)  # 8 events of d=2
+        monkeypatch.setattr(synthetic.np, "repeat", None)  # allocating the events would fail
+        space = gt.new_space(["a", "b"])
+        series = {"big": gt.ProfileSeries("big", gt.day_instants(2), [[1.0, 0.5], [4.0, 4.0]])}
+        message = "series for 'big': day 1 has 7 events after 3 on earlier days, more than can be allocated"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            gt.generate_events(series, space, programs_per_day=3, seed=0)
+
+    def test_events_at_the_ceiling_generated(self, monkeypatch):
+        monkeypatch.setattr(synthetic, "_MAX_EVENT_CELLS", 16)
+        space = gt.new_space(["a", "b"])
+        series = {"big": gt.ProfileSeries("big", gt.day_instants(2), [[1.0, 0.5], [3.0, 3.0]])}
+        assert len(gt.generate_events(series, space, programs_per_day=3, seed=0)) == 8
 
     def test_simulate_with_overflowing_day_totals_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -145,6 +145,12 @@ class TestGain:
         assert norms[2] == pytest.approx(1.0 / 10001.0, abs=1e-12)
         assert norms[0] > norms[1] > norms[2]
 
+    def test_schedule_fault_raised_before_a_series_fault(self):
+        five = gt.ProfileSeries("five", np.arange(5, dtype=float), np.ones((5, 2)))
+        short = gt.ProfileSeries("short", [0.0], [[1.0, 1.0]])
+        with pytest.raises(gt.DivergenceError, match="not finite at step 2$"):
+            gt.track_users(gt.build_model(d=2, alpha=1e100), [short, five])
+
     def test_ill_conditioned_innovation_rejected(self):
         m = gt.build_model(d=2, q=1e-3, r=1e-12)
         P = np.eye(6)
@@ -374,6 +380,25 @@ class TestTrackUsers:
         series = gt.ProfileSeries("u", np.arange(3, dtype=float), np.ones((3, 2)))
         with pytest.raises(ValueError, match="Q couples genre axes"):
             gt.track_users(coupled, [series])
+
+    @pytest.mark.parametrize("name", ["white_accel", "identity", "alpha", "per_axis"])
+    def test_schedule_matches_dense_recursion_at_every_step(self, name):
+        model = {
+            "white_accel": lambda: gt.build_model(4),
+            "identity": lambda: gt.build_model(4, q_structure="identity"),
+            "alpha": lambda: gt.build_model(4, alpha=0.9, q=1e-2, r=0.5),
+            "per_axis": self.per_axis_model,
+        }[name]()
+        p0, n = 10.0, 30
+        covariances, gains = tracking._gain_schedule(model, p0, n)
+        assert covariances.shape == (n + 1, model.d, 3, 3) and gains.shape == (n, model.d, 3)
+        P = p0 * np.eye(3 * model.d)
+        for k in range(n):
+            K = tracking._assemble_dense(gains[k][:, :, None])
+            np.testing.assert_allclose(tracking._assemble_dense(covariances[k]), P, atol=1e-9, rtol=0)
+            np.testing.assert_allclose(K, gt.gain(model, P), atol=1e-9, rtol=0)
+            P = gt.covariance_step(model, P)
+        np.testing.assert_allclose(tracking._assemble_dense(covariances[n]), P, atol=1e-9, rtol=0)
 
     def test_ill_conditioned_innovation_rejected(self):
         m = gt.build_model(d=2)
