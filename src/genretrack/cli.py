@@ -12,12 +12,13 @@ writing any output file, so a failing run leaves no partial artifacts.  Each
 command imports, when it runs, only the modules it uses: ``build-profiles``
 loads ``space``, ``ioutil`` and ``profiles``; ``track`` adds ``tracking``;
 ``recommend`` adds ``tracking`` and ``recommender``; ``evaluate`` adds
-``tracking`` and ``evaluation``; only ``simulate`` loads ``synthetic``.
-Every CSV input, ``tracks/index.csv`` included, is read by ``ioutil.read_rows``, except
-a plain event log, which ``profiles.read_events`` cuts with numpy byte operations and
-hands to ``read_rows`` on any fault.  So a faulty row is named by ``path:line`` and its
-cause, and a user id in any table obeys one rule; the instants file is checked line by
-line the same way, and a byte that is not UTF-8 names its ``path:line`` in every input.
+``tracking`` and ``evaluation``; only ``simulate`` loads ``synthetic``.  Only
+``tracking`` knows the ``tracks/`` layout: ``track_writer`` names and writes its files,
+``read_tracks`` reads them.  Every CSV input is read by ``ioutil.read_rows``, except a plain
+event log, which ``profiles.read_events`` cuts with numpy byte operations and hands to
+``read_rows`` on any fault.  So a faulty row is named by ``path:line`` and its cause, and a
+user id in any table obeys one rule; the instants file is checked line by line the same way,
+and a byte that is not UTF-8 names its ``path:line`` in every input.
 
 Importing this module loads numpy with a one-thread OpenBLAS pool: no command runs
 linear algebra big enough to gain from a second thread, and more threads only cost
@@ -39,7 +40,7 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 # OpenBLAS sizes its thread pool once, when numpy loads it (see the module docstring).
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -52,9 +53,7 @@ if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_
 
 import numpy as np
 
-from .ioutil import (
-    DAY_SECONDS, _check_user_id, _text_lines, csv_cells, fmt, read_rows, safe_filename, write_table,
-)
+from .ioutil import DAY_SECONDS, _text_lines, fmt
 
 __all__ = ["main"]
 
@@ -350,7 +349,7 @@ def cmd_build_profiles(effective: dict) -> Writer:
 def cmd_track(effective: dict) -> Writer:
     from .profiles import read_profiles
     from .space import read_vocabulary
-    from .tracking import build_model, track_users, write_final_states, write_track_records
+    from .tracking import build_model, track_users, track_writer, write_final_states
     space = read_vocabulary(effective["vocabulary"])
     series_by_user = read_profiles(effective["profiles"], space)
     if not series_by_user:
@@ -366,24 +365,10 @@ def cmd_track(effective: dict) -> Writer:
     series = [series_by_user[user_id] for user_id in sorted(series_by_user)]
     records = track_users(model, series, p0=effective["p0"])
 
-    # Per-user file names, deduplicated if sanitizing ever collides two ids.
-    files, names_taken = [], set()
-    for record in records:
-        base = safe_filename(record.user_id) or "user"
-        name, suffix = f"{base}.csv", 2
-        while name in names_taken:
-            name, suffix = f"{base}_{suffix}.csv", suffix + 1
-        names_taken.add(name)
-        files.append((record, name))
-    ids = csv_cells(_check_user_id(record.user_id) for record, _ in files)
-    names = csv_cells(name for _, name in files)
+    write_tracks = track_writer(records, space)
 
     def write(outdir: Path) -> None:
-        tracks_dir = outdir / "tracks"
-        tracks_dir.mkdir(exist_ok=True)
-        write_track_records(records, space, [tracks_dir / name for _, name in files])
-        codes = np.arange(len(files))
-        write_table(tracks_dir / "index.csv", ["user_id", "file"], [(ids, codes), (names, codes)])
+        write_tracks(outdir / "tracks")
         final_states = {record.user_id: record.final_state for record in records}
         write_final_states(final_states, space, outdir / "final_states.csv")
 
@@ -435,30 +420,14 @@ def cmd_recommend(effective: dict) -> Writer:
     return write
 
 
-_INDEX = np.dtype([("user_id", object), ("file", object)])  # tracks/index.csv
-
-
-def _check_index_row(row: Sequence[str]) -> Sequence[str]:
-    _check_user_id(row[0])
-    if not row[1]:
-        raise ValueError("file must be non-empty")
-    return row
-
-
 def cmd_evaluate(effective: dict) -> Writer:
     from .evaluation import evaluate_many, write_histogram, write_report, write_summary
     from .profiles import read_profiles
     from .space import read_vocabulary
-    from .tracking import read_track_record
+    from .tracking import read_tracks
     space = read_vocabulary(effective["vocabulary"])
     observations = read_profiles(effective["profiles"], space)
-    tracks_dir = Path(effective["tracks"])
-    index_path = tracks_dir / "index.csv"
-    with read_rows(index_path, _INDEX.names, "track index", _INDEX, _check_index_row) as chunks:
-        index = [_check_index_row(row) for chunk in chunks for row in chunk.tolist()]
-    records = [read_track_record(tracks_dir / name, space, user_id) for user_id, name in index]
-    if not records:
-        raise CliError(f"track index {index_path} lists no users")
+    records = read_tracks(effective["tracks"], space)
     try:
         pooled = evaluate_many(records, observations, tau=effective["tau"])
     except KeyError as exc:

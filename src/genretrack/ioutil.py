@@ -11,19 +11,17 @@ on any fault.
 from __future__ import annotations
 
 import csv
-import math
 import re
 from contextlib import contextmanager
 from datetime import datetime, timezone
-from itertools import chain, filterfalse, groupby, islice
+from itertools import chain, filterfalse, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 __all__ = [
-    "DAY_SECONDS", "fmt", "csv_cells", "write_table", "write_tables", "read_rows", "read_table",
-    "parse_timestamp", "safe_filename",
+    "DAY_SECONDS", "fmt", "csv_cells", "write_table", "read_rows", "read_table", "parse_timestamp",
 ]
 
 DAY_SECONDS = 86400  # epoch seconds per UTC day
@@ -75,17 +73,6 @@ def write_table(path, header: Sequence[str], columns: Sequence, sizes=None) -> N
             csv.writer(fh, lineterminator="\n").writerow(header)
             for lo in range(0, size, step):
                 fh.writelines(("\n".join(islice(rows, min(step, size - lo))), "\n"))
-
-
-def write_tables(paths: Sequence, header: Sequence[str], parts: Sequence[Sequence]) -> None:
-    """Write each part, a list of array columns as :func:`write_table` takes them, to its
-    path; consecutive parts are stacked into one table, about a block of cells at a time."""
-    sizes = [len(part[0]) for part in parts]
-    width = sum(math.prod(c.shape[1:]) for c in parts[0]) if parts else 1
-    blocks = np.cumsum(sizes, dtype=int) * width // _BLOCK_CELLS
-    for _, group in groupby(zip(parts, paths, sizes, blocks), key=lambda item: item[3]):
-        chosen, files, counts, _ = zip(*group)
-        write_table(files, header, [np.concatenate(column) for column in zip(*chosen)], counts)
 
 
 def _row_blocks(columns: Sequence, n: int, step: int) -> Iterator[list[str]]:
@@ -277,8 +264,3 @@ def parse_timestamp(raw: str) -> float:
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return dt.timestamp()
-
-
-def safe_filename(name: str) -> str:
-    """Map an arbitrary identifier to a filesystem-safe token."""
-    return re.sub(r"[^A-Za-z0-9._-]", "_", name)

@@ -32,13 +32,14 @@ its gain schedule from the model and p0 alone, then makes one data pass.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .ioutil import _check_user_id, csv_cells, read_table, write_table, write_tables
+from .ioutil import _check_user_id, csv_cells, read_rows, read_table, write_table
 from .profiles import ProfileSeries
 from .space import ConceptSpace
 
@@ -58,8 +59,8 @@ __all__ = [
     "track_series_decoupled",
     "track_users",
     "read_track_record",
-    "write_track_record",
-    "write_track_records",
+    "track_writer",
+    "read_tracks",
     "read_final_states",
     "write_final_states",
 ]
@@ -548,10 +549,10 @@ def _assemble_dense(stack: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# track-record file format: CSV with header
-#   step, pred_<genre>..., innov_<genre>..., gain_norm, p_trace
-# one row per recorded step, floats at full precision.
+# tracks directory: one CSV per user, header step, pred_<genre>..., innov_<genre>...,
+# gain_norm, p_trace, a row per recorded step; and index.csv, a row user_id,file per user.
 # ---------------------------------------------------------------------------
+_INDEX = np.dtype([("user_id", object), ("file", object)])
 
 
 def _track_header(space: ConceptSpace) -> list[str]:
@@ -559,18 +560,37 @@ def _track_header(space: ConceptSpace) -> list[str]:
     return ["step", *labels, "gain_norm", "p_trace"]
 
 
-def write_track_record(record: TrackRecord, space: ConceptSpace, path: str | Path) -> None:
-    write_track_records([record], space, [path])
-
-
-def write_track_records(
-    records: Sequence[TrackRecord], space: ConceptSpace, paths: Sequence[str | Path]
-) -> None:
-    """Record i to ``paths[i]``, the records stacked into one table a block at a time."""
+def track_writer(records: Sequence[TrackRecord], space: ConceptSpace) -> Callable[[Path], None]:
+    """The function writing ``records`` into a tracks directory, each to a file named from its
+    user id (each character outside ``[A-Za-z0-9._-]`` made ``_``, then ``_2``, ``_3``, ... while
+    ``index.csv`` or an earlier name matches it ignoring case), and the index; all checked first."""
+    if not records:
+        raise ValueError("no track records to write")
     for d in (r.predicted.shape[1] for r in records if r.predicted.shape[1] != space.d):
         raise ValueError(f"record dimension {d} does not match space d={space.d}")
-    parts = [(r.steps, r.predicted, r.innovations, r.gain_norms, r.p_traces) for r in records]
-    write_tables(paths, _track_header(space), parts)
+    files: dict[str, str] = {}  # user id -> file name
+    taken = {"index.csv"}  # casefolded: U1.csv and u1.csv are one file if case is ignored
+    for record in records:
+        user_id = _check_user_id(record.user_id)
+        if user_id in files:
+            raise ValueError(f"user {user_id!r} has two track records")
+        base = re.sub(r"[^A-Za-z0-9._-]", "_", user_id)
+        name, suffix = f"{base}.csv", 2
+        while name.casefold() in taken:
+            name, suffix = f"{base}_{suffix}.csv", suffix + 1
+        taken.add(name.casefold())
+        files[user_id] = name
+
+    def write(directory: Path) -> None:
+        directory.mkdir(exist_ok=True)
+        parts = [(r.steps, r.predicted, r.innovations, r.gain_norms, r.p_traces) for r in records]
+        paths, sizes = [directory / name for name in files.values()], [r.n_steps for r in records]
+        write_table(paths, _track_header(space), [np.concatenate(c) for c in zip(*parts)], sizes)
+        codes = np.arange(len(files))  # a file name is its own CSV cell: it needs no quotes
+        columns = [(csv_cells(files), codes), (list(files.values()), codes)]
+        write_table(directory / "index.csv", _INDEX.names, columns)
+
+    return write
 
 
 def _final_state_header(space: ConceptSpace) -> list[str]:
@@ -615,3 +635,32 @@ def read_track_record(path: str | Path, space: ConceptSpace, user_id: str = "") 
         p_traces=data[:, 2 + 2 * d],
         final_state=None,
     )
+
+
+def read_tracks(directory: str | Path, space: ConceptSpace) -> list[TrackRecord]:
+    """The records :func:`track_writer` wrote into ``directory``, in its index's order.  An
+    index row whose id breaks the user-id rule, whose file is empty or whose user was listed
+    before is refused naming its ``path:line``."""
+    path = Path(directory) / "index.csv"
+    index: dict[str, str] = {}  # user id -> file name
+
+    def add(row: Sequence[str]) -> None:
+        user_id, name = row
+        _check_user_id(user_id)
+        if not name:
+            raise ValueError("file must be non-empty")
+        if user_id in index:
+            raise ValueError(f"user {user_id!r} is listed twice")
+        index[user_id] = name
+
+    with read_rows(path, _INDEX.names, "track index", _INDEX, add) as chunks:
+        try:
+            for chunk in chunks:
+                for row in chunk.tolist():
+                    add(row)
+        except ValueError:
+            index.clear()  # read_rows' fault pass calls add again from the first row
+            raise
+    if not index:
+        raise ValueError(f"track index {path} lists no users")
+    return [read_track_record(path.parent / name, space, uid) for uid, name in index.items()]

@@ -462,8 +462,9 @@ class TestErrors:
             ('"u\x01",u0001.csv', "user id 'u\\x01' holds a control character or line separator"),
             ("u0001,", "file must be non-empty"),
             ("u0001,u0001.csv,x", "expected 2 fields, got 3"),
+            ("u0000,u0001.csv", "user 'u0000' is listed twice"),
         ],
-        ids=["control_character", "empty_file", "three_fields"],
+        ids=["control_character", "empty_file", "three_fields", "repeated_user"],
     )
     def test_faulty_track_index_row_names_its_line(self, pipeline, tmp_path, capsys, row, cause):
         tracks = tmp_path / "tracks"
@@ -610,6 +611,30 @@ class TestAwkwardUserIds:
         assert set(gt.read_final_states(tracked / "final_states.csv", space)) == set(ids)
         report = (scored / "report.csv").read_text(encoding="utf-8")
         assert '"x,y"' in report and '"q""uote"' in report
+
+    def test_ids_naming_the_index_or_differing_in_case_keep_their_own_files(self, tmp_path):
+        # index.csv is the index, and U1.csv and u1.csv are one file where case is ignored.
+        ids = ["U1", "index", "u1"]
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("a\nb\n", encoding="utf-8")
+        space = gt.read_vocabulary(vocab)
+        rng = np.random.default_rng(5)
+        series = {uid: gt.ProfileSeries(uid, np.arange(1.0, 6.0), rng.random((5, 2))) for uid in ids}
+        profiles = tmp_path / "profiles.csv"
+        gt.write_profiles(series, space, profiles)
+        common = ["--vocabulary", str(vocab), "--profiles", str(profiles)]
+        tracks, scored = tmp_path / "tracked" / "tracks", tmp_path / "scored"
+        assert run(["track", *common, "--out", str(tmp_path / "tracked")]) == 0
+        assert run(["evaluate", *common, "--tracks", str(tracks), "--out", str(scored)]) == 0
+        index = (tracks / "index.csv").read_text(encoding="utf-8")
+        assert index == "user_id,file\nU1,U1.csv\nindex,index_2.csv\nu1,u1_2.csv\n"
+        assert "n_users=3\n" in (scored / "summary.txt").read_text(encoding="utf-8")
+        model = gt.build_model(d=space.d)
+        records = gt.read_tracks(tracks, space)
+        assert [record.user_id for record in records] == ids
+        for record in records:
+            expected = gt.track_series(model, series[record.user_id]).predicted
+            np.testing.assert_allclose(record.predicted, expected, atol=1e-9, rtol=0.0)
 
 
 class TestRecommendDates:

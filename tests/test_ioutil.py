@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from genretrack import ioutil
 from genretrack.ioutil import (
-    csv_cells, fmt, parse_timestamp, read_table, safe_filename, write_table
+    csv_cells, fmt, parse_timestamp, read_table, write_table
 )
 from properties import reference_write_table
 
@@ -352,10 +352,3 @@ class TestParseTimestamp:
         with pytest.raises(ValueError):
             parse_timestamp("yesterday")
 
-
-class TestSafeFilename:
-    def test_passthrough(self):
-        assert safe_filename("u0001") == "u0001"
-
-    def test_replaces_separators(self):
-        assert safe_filename("a/b\\c:d") == "a_b_c_d"

@@ -200,9 +200,10 @@ def test_track_record_floats_read_back_bit_for_bit(tmp_path_factory, space, data
     record = gt.TrackRecord(
         "u", np.arange(1, n + 1), values[:, :d], values[:, d : 2 * d], values[:, 2 * d], values[:, -1]
     )
-    path = tmp_path_factory.mktemp("track") / "u.csv"
-    gt.write_track_record(record, space, path)
-    back = gt.read_track_record(path, space, "u")
+    tracks = tmp_path_factory.mktemp("tracks")
+    gt.track_writer([record], space)(tracks)
+    (back,) = gt.read_tracks(tracks, space)
+    assert back.user_id == "u"
     assert back.steps.tolist() == record.steps.tolist()
     for name in ("predicted", "innovations", "gain_norms", "p_traces"):
         assert same_bits(getattr(back, name), getattr(record, name)), name

@@ -542,9 +542,9 @@ class TestTrackRecordIO:
         m = gt.build_model(d=3)
         rec = gt.track_series(m, series)
         space = gt.new_space(["a", "b", "c"])
-        path = tmp_path / "track.csv"
-        gt.write_track_record(rec, space, path)
-        back = gt.read_track_record(path, space, user_id="u")
+        gt.track_writer([rec], space)(tmp_path / "tracks")
+        (back,) = gt.read_tracks(tmp_path / "tracks", space)
+        assert back.user_id == "u"
         assert np.array_equal(back.steps, rec.steps)
         assert np.array_equal(back.predicted, rec.predicted)
         assert np.array_equal(back.innovations, rec.innovations)
@@ -588,3 +588,39 @@ class TestTrackRecordIO:
         path.write_text(f"{header}\n1,0.5,0.1,0.2,0.3\n2,0.5,oops,0.2,0.3\n", encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: could not convert string to float: 'oops'")):
             gt.read_track_record(path, space)
+
+
+class TestTrackFiles:
+    """track_writer names each user's file; read_tracks finds it through the index."""
+
+    @staticmethod
+    def write(tmp_path, ids):
+        space = gt.new_space(["a"])
+        records = [
+            gt.TrackRecord(uid, np.arange(1, 3), np.full((2, 1), i), np.zeros((2, 1)), np.ones(2), np.ones(2))
+            for i, uid in enumerate(ids)
+        ]
+        gt.track_writer(records, space)(tmp_path)
+        lines = (tmp_path / "index.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "user_id,file"
+        files = dict(line.rsplit(",", 1) for line in lines[1:])
+        back = gt.read_tracks(tmp_path, space)
+        assert [record.user_id for record in back] == ids
+        for i, record in enumerate(back):
+            assert np.array_equal(record.predicted, np.full((2, 1), i))
+        return files
+
+    def test_plain_id_names_its_file(self, tmp_path):
+        assert self.write(tmp_path, ["u0001"]) == {"u0001": "u0001.csv"}
+
+    def test_separators_become_underscores(self, tmp_path):
+        assert self.write(tmp_path, ["a/b\\c:d"]) == {"a/b\\c:d": "a_b_c_d.csv"}
+
+    def test_ids_sanitized_alike_get_suffixes(self, tmp_path):
+        files = self.write(tmp_path, ["a b", "a/b", "a_b"])
+        assert files == {"a b": "a_b.csv", "a/b": "a_b_2.csv", "a_b": "a_b_3.csv"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a_b.csv", "a_b_2.csv", "a_b_3.csv", "index.csv"]
+
+    def test_names_differ_ignoring_case_and_never_name_the_index(self, tmp_path):
+        files = self.write(tmp_path, ["INDEX", "U1", "index", "u1"])
+        assert files == {"INDEX": "INDEX_2.csv", "U1": "U1.csv", "index": "index_3.csv", "u1": "u1_2.csv"}

@@ -6,6 +6,7 @@ produce identical files, for awkward user ids and genre labels too.
 """
 
 import csv
+import re
 from unittest.mock import patch
 
 import numpy as np
@@ -80,10 +81,10 @@ def test_profiles_dimension_checked_before_writing(tmp_path, space):
     assert not (tmp_path / "new.csv").exists()
 
 
-def awkward_record(awkward_floats, n, start=0):
+def awkward_record(awkward_floats, n, start=0, user_id=IDS[1]):
     values = awkward_floats[start : start + n * 10]
     return gt.TrackRecord(
-        user_id=IDS[1],
+        user_id=user_id,
         steps=np.arange(1, n + 1),
         predicted=values[: n * 4].reshape(n, 4),
         innovations=values[n * 4 : n * 8].reshape(n, 4),
@@ -106,33 +107,55 @@ def write_reference_track(path, record, space):
     )
 
 
+def write_tracks(records, space, directory):
+    """Write ``records`` with ``track_writer``; each user's file, as the index names it."""
+    gt.track_writer(records, space)(directory)
+    with open(directory / "index.csv", newline="", encoding="utf-8") as fh:
+        return {user_id: directory / name for user_id, name in list(csv.reader(fh))[1:]}
+
+
 def test_track_record(tmp_path, space, awkward_floats):
     record = awkward_record(awkward_floats, 9)
     write_reference_track(tmp_path / "ref.csv", record, space)
-    gt.write_track_record(record, space, tmp_path / "new.csv")
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    files = write_tracks([record], space, tmp_path / "tracks")
+    assert files[record.user_id].read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    write_csv(tmp_path / "ref_index.csv", ["user_id", "file"], [[record.user_id, "comma_id.csv"]])
+    assert (tmp_path / "tracks" / "index.csv").read_bytes() == (tmp_path / "ref_index.csv").read_bytes()
 
 
 @pytest.mark.parametrize("block_cells", [1, 19, 40, 100, 200, 10**6])
 def test_track_records_stacked_in_blocks(tmp_path, space, awkward_floats, block_cells):
     # Records of 0 to 6 steps, 19 cells a row, stacked and formatted in blocks of a few
     # cells, so that files, stacks and blocks end on every kind of boundary.
-    records = [awkward_record(awkward_floats, n, start=7 * n) for n in (3, 1, 6, 0, 2, 5, 1, 4)]
-    paths = [tmp_path / f"new{i}.csv" for i in range(len(records))]
+    steps = (3, 1, 6, 0, 2, 5, 1, 4)
+    records = [
+        awkward_record(awkward_floats, n, start=7 * n, user_id=f"{IDS[i % len(IDS)]} {i}")
+        for i, n in enumerate(steps)
+    ]
     with patch.object(ioutil, "_BLOCK_CELLS", block_cells):
-        gt.write_track_records(records, space, paths)
-    for record, path in zip(records, paths):
+        files = write_tracks(records, space, tmp_path / "tracks")
+    assert list(files) == [record.user_id for record in records]
+    for record in records:
         write_reference_track(tmp_path / "ref.csv", record, space)
-        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert files[record.user_id].read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-def test_track_records_dimension_checked_before_writing(tmp_path, space, awkward_floats):
+def test_track_records_dimension_checked_before_writing(space, awkward_floats):
     good = awkward_record(awkward_floats, 3)
     bad = gt.TrackRecord("v", np.arange(1, 3), np.zeros((2, 3)), np.zeros((2, 3)), np.zeros(2), np.zeros(2))
-    paths = [tmp_path / "good.csv", tmp_path / "bad.csv"]
     with pytest.raises(ValueError, match="record dimension 3 does not match space d=4"):
-        gt.write_track_records([good, bad], space, paths)
-    assert not any(path.exists() for path in paths)
+        gt.track_writer([good, bad], space)
+
+
+@pytest.mark.parametrize(
+    "n_records, cause",
+    [(2, re.escape("user 'comma,id' has two track records")), (0, "no track records to write")],
+    ids=["repeated_user", "no_records"],
+)
+def test_track_writer_refuses_what_read_tracks_would_refuse(space, awkward_floats, n_records, cause):
+    # read_tracks refuses an index listing a user twice, or no user.
+    with pytest.raises(ValueError, match=cause):
+        gt.track_writer([awkward_record(awkward_floats, 3)] * n_records, space)
 
 
 def test_final_states(tmp_path, space, awkward_floats):
