@@ -1,11 +1,11 @@
 """Small shared helpers for deterministic text I/O and timestamp parsing.
 
 Every CSV table is written by :func:`write_table`, column-wise, a bounded block of rows at a
-time, each distinct float of a block formatted once as :func:`fmt` formats it.  Tables are
-read back by :func:`read_rows`: numpy's C tokenizer parses chunks of rows streamed from the
-file, and on a fault one ``csv`` pass names the faulty row.  The one exception is a plain
-event log, which ``profiles.read_events`` reads from its bytes and hands to ``read_rows``
-on any fault.
+time made into one ``bytes`` object, its floats printed by a numpy kernel exactly as the
+scalar :func:`fmt` prints them.  Tables are read back by :func:`read_rows`: numpy's C
+tokenizer parses chunks of rows streamed from the file, and on a fault one ``csv`` pass
+names the faulty row.  The one exception is a plain event log, which
+``profiles.read_events`` reads from its bytes and hands to ``read_rows`` on any fault.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import csv
 import re
 from contextlib import contextmanager
 from datetime import datetime, timezone
-from itertools import chain, filterfalse, islice
+from itertools import chain, filterfalse
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -61,52 +61,130 @@ def write_table(path, header: Sequence[str], columns: Sequence, sizes=None) -> N
     to each path of ``path`` in turn, under its own header, its size of the next rows.
 
     A column is a float array, 1-D or with a cell per column, printed as ``fmt`` prints;
-    an int array, printed in decimal; or (``csv_cells`` texts, int array of row codes).
+    an int array, printed in decimal; or (values, int array of row codes), the values
+    ``csv_cells`` texts or a float array, each value printed once.
     """
-    columns = [c[:, None] if getattr(c, "ndim", 2) == 1 else c for c in columns]
+    columns = [(_value_slots(c[0]), c[1]) if isinstance(c, tuple) else c[:, None] if c.ndim == 1
+               else c for c in columns]
     n = len(columns[0][1] if isinstance(columns[0], tuple) else columns[0])
-    width = sum(1 if isinstance(c, tuple) else c.shape[1] for c in columns)
-    step = max(1, _BLOCK_CELLS // width)
-    rows = chain.from_iterable(_row_blocks(columns, n, step))
+    # A block holds about _BLOCK_CELLS cells, a text counting once per float slot it spans.
+    width = sum(-(-c[0].shape[1] // _SLOT) if isinstance(c, tuple) else c.shape[1] for c in columns)
+    step, line = max(1, _BLOCK_CELLS // width), csv.writer(_Echo(), lineterminator="\n").writerow(header)
+    blocks = (_row_block(columns, lo, min(lo + step, n)) for lo in range(0, n, step))
+    text, ends = b"", [0]  # the block being written, and where each of its rows left ends
     for path, size in zip(*(([path], [n]) if sizes is None else (path, sizes))):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh, lineterminator="\n").writerow(header)
-            for lo in range(0, size, step):
-                fh.writelines(("\n".join(islice(rows, min(step, size - lo))), "\n"))
+        with open(path, "wb") as fh:
+            fh.write(line.encode())
+            while size:
+                if len(ends) == 1:
+                    text, ends = next(blocks)
+                rows = min(size, len(ends) - 1)
+                fh.write(text[ends[0] : ends[rows]])
+                ends, size = ends[rows:], size - rows
 
 
-def _row_blocks(columns: Sequence, n: int, step: int) -> Iterator[list[str]]:
-    """The ``n`` rows of ``columns``, ``step`` at a time.  A block formats each distinct
-    float once, told apart by bit pattern so that ``-0.0`` is not ``0.0``, and reuses
-    the text of one that the block before held too."""
-    # The texts of the block before, sorted by bit pattern; at first just 0.0, printed "0".
-    seen, seen_texts = np.zeros(1, dtype=np.int64), np.array(["0"], dtype=object)
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        floats = [c[lo:hi] for c in columns if not isinstance(c, tuple) and c.dtype.kind == "f"]
-        block = np.hstack([np.empty((hi - lo, 0)), *floats], dtype=float)
-        bits = block.ravel().view(np.int64)
-        # np.unique's work by the stable sort, which the commands already load: numpy's
-        # default sort would map 0.5 MB more of its library into memory.
-        order = bits.argsort(kind="stable")
-        new = np.diff(bits[order], prepend=~bits[order[:1]]) != 0
-        distinct, inverse = bits[order][new], np.empty_like(order)
-        inverse[order] = np.cumsum(new) - 1
-        at = np.minimum(np.searchsorted(seen, distinct), seen.size - 1)
-        fresh, texts = seen[at] != distinct, seen_texts[at]
-        values = distinct[fresh].view(float).tolist()
-        texts[fresh] = ((",%.17g" * len(values)) % tuple(values)).split(",")[1:]
-        seen, seen_texts = distinct, texts
-        cells = iter(texts[inverse.reshape(block.shape)].T.tolist())
-        lists = []
-        for c in columns:
-            if isinstance(c, tuple):
-                lists.append(list(map(c[0].__getitem__, c[1][lo:hi].tolist())))
-            elif c.dtype.kind == "f":
-                lists.extend(islice(cells, c.shape[1]))
-            else:
-                lists.append(list(map(str, c[lo:hi, 0].tolist())))
-        yield list(map(",".join, zip(*lists)))
+# Every cell is formatted into a slot, a fixed-width run of bytes ending in its separator,
+# that holds its text and 0xFF, a byte no UTF-8 text holds, in the places it leaves out.
+# A float's slot: a sign, "0.000", then digit k at 6 + 2k, each followed by ".", the last
+# by the separator.  The bytes it drops are _DROPPED[code]'s, the code (sign * 21 + e + 4)
+# * 17 + s - 1 for exponent e in [-4, 16] and s significant digits, else 714 + len(text).
+_DROP, _SLOT = 0xFF, 40
+
+
+def _row_block(columns: Sequence, lo: int, hi: int) -> tuple[memoryview, list[int]]:
+    """Rows ``lo`` to ``hi`` of ``columns``, each line ended, as UTF-8 bytes, and the offset
+    of each row's start and of the last row's end: the rows of slots, but the 0xFF bytes."""
+    floats = [c[lo:hi] for c in columns if not isinstance(c, tuple) and c.dtype.kind == "f"]
+    if floats:
+        floats = _float_slots(np.concatenate(floats, axis=1, dtype=float).ravel()).reshape(hi - lo, -1)
+    parts, at = [], 0
+    for c in columns:
+        if isinstance(c, tuple):
+            parts.append(c[0].take(c[1][lo:hi], axis=0))
+        elif c.dtype.kind == "f":
+            parts.append(floats[:, at : at + c.shape[1] * _SLOT])
+            at += c.shape[1] * _SLOT
+        else:
+            parts.append(_value_slots(list(map(str, c[lo:hi].ravel().tolist()))).reshape(hi - lo, -1))
+    slots = np.concatenate(parts, axis=1)
+    slots[:, -1] = ord("\n")
+    keep = slots != _DROP
+    ends = keep.view(np.uint8).sum(axis=1, dtype=np.uint32).cumsum()  # faster than bool sums
+    return memoryview(slots.ravel().compress(keep.ravel())), [0, *ends.tolist()]
+
+
+def _value_slots(values) -> np.ndarray:
+    """The slots of a float array, or of ``csv_cells`` texts, these as wide as the longest
+    text and a separator."""
+    if isinstance(values, np.ndarray):
+        return _float_slots(values)
+    texts = [text.encode() for text in values]
+    sizes = np.array([len(text) for text in texts], dtype=int)
+    width = sizes.max(initial=0) + 1
+    slots = np.array(texts, f"S{width}").view(np.uint8).reshape(-1, width)
+    slots[np.arange(width) >= sizes[:, None]] = _DROP
+    slots[:, -1] = ord(",")
+    return slots
+
+
+def _dropped() -> np.ndarray:
+    pos = np.arange(_SLOT)
+    sign, e, s = (a[..., None] for a in np.ix_([0, 1], np.arange(-4, 17), np.arange(1, 18)))
+    prefix = (pos >= 1 - sign) & (pos < np.where(e < 0, 2 - e, 1))
+    digits = (pos >= 6) & (pos % 2 == 0) & (pos < 6 + 2 * np.maximum(s, e + 1))
+    point = (pos == 7 + 2 * e) & (s > e + 1) & (e >= 0)
+    keep = np.vstack([(prefix | digits | point).reshape(-1, _SLOT), pos < np.arange(25)[:, None]])
+    return np.where(keep | (pos == _SLOT - 1), 0, _DROP).astype(np.uint8).view(np.uint64)
+
+
+_DROPPED = _dropped()
+# float("1e-5") ... float("1e-1") lie above the powers they round, and 10**0 ... 10**21 are
+# doubles, so _TENS[k + 5] is the least double not below 10**k.
+_TENS = np.array([float(f"1e{k}") for k in range(-5, 22)])
+# Each of 0..9999 as its four digits, each followed by ".", read as a little-endian word.
+_DIGITS = sum(np.arange(10, dtype=np.uint64).reshape((-1,) + (1,) * (3 - k)) << np.uint64(16 * k)
+              for k in range(4)).ravel() + np.uint64(int.from_bytes(b"0.0.0.0.", "little"))
+# A slot's first word: "-0.000" and digit 0 (0 to 9) followed by ".".
+_HEADS = int.from_bytes(b"-0.000\0.", "little") + (np.arange(48, 58, dtype=np.uint64) << 48)
+
+
+def _float_slots(x: np.ndarray) -> np.ndarray:
+    """The slots of the floats ``x``, each holding ``fmt(x[i])`` and a separator.  For an
+    exponent e in [-4, 16], the 17 digits are the integer nearest |x| * 10**(16 - e), got
+    exactly as hi + lo by Dekker's product: hi >= 1e16 > 2**53 is an even integer, so
+    hi + rint(lo) rounds half to even, as % does.  NaN, infinities and other e go to %."""
+    sign, a = np.signbit(x), np.abs(x)
+    zero, near = a == 0, (a >= 1e-5) & (a < 1e17)  # near: e in [-5, 16]
+    a = np.where(near, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)  # one off, perhaps, next to a power of ten
+    e -= a < _TENS.take(e + 5, mode="clip")
+    e += a >= _TENS.take(e + 6, mode="clip")
+    b = _TENS.take(21 - e)
+    ta, tb = a * 134217729.0, b * 134217729.0  # split at 2**27 + 1: halves of 26 bits
+    ah, bh = ta - (ta - a), tb - (tb - b)
+    hi, al, bl = a * b, a - ah, b - bh
+    lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    carry = digits == 10**17  # rounded up into the next decade
+    e, digits = e + carry, np.where(carry, 10**16, digits)
+    first = digits // 10**16
+    rest = digits - first * 10**16
+    top = rest // 10**8  # % and divmod take twice as long as // on int64
+    halves = np.stack([top, rest - top * 10**8], axis=1)
+    top = halves // 10**4
+    words = np.empty((x.size, 5), np.uint64)
+    words[:, 0] = _HEADS.take(first)
+    words[:, 1:] = _DIGITS.take(np.stack([top, halves - top * 10**4], axis=2).reshape(-1, 4))
+    slots = words.view(np.uint8)
+    code = sign * 357 + e * 17 + 84 - np.argmax(slots[:, 38:5:-2] != ord("0"), axis=1)
+    slots[zero, 6], slots[:, -1] = ord("0"), ord(",")
+    (odd,) = np.nonzero(~((near & (e >= -4) & (e <= 16)) | zero))
+    if odd.size:
+        texts = ((",%.17g" * odd.size) % tuple(x[odd].tolist())).encode().split(b",")[1:]
+        slots[odd, :24] = np.array(texts, "S24").view(np.uint8).reshape(-1, 24)
+        code[odd] = 714 + np.array(list(map(len, texts)))
+    words |= _DROPPED.take(code, axis=0)
+    return slots
 
 
 @contextmanager

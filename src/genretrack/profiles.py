@@ -488,6 +488,9 @@ def write_events(events: EventLog | Iterable[WatchEvent], path: str | Path) -> N
     users = csv_cells(map(_check_user_id, log.user_ids))
     sets = csv_cells(";".join(labels) for labels in log.genre_sets)
     columns = [(users, log.user), log.timestamps, (sets, log.genre_set), log.fractions]
+    for i in (1, 3):  # a log repeats these: each distinct bit pattern is formatted once
+        bits, codes = np.unique(columns[i].view(np.uint64), return_inverse=True)
+        columns[i] = (bits.view(float), codes)
     write_table(path, _EVENT_HEADER, columns)
 
 

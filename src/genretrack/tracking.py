@@ -639,19 +639,26 @@ def read_track_record(path: str | Path, space: ConceptSpace, user_id: str = "") 
 
 def read_tracks(directory: str | Path, space: ConceptSpace) -> list[TrackRecord]:
     """The records :func:`track_writer` wrote into ``directory``, in its index's order.  An
-    index row whose id breaks the user-id rule, whose file is empty or whose user was listed
-    before is refused naming its ``path:line``."""
+    index row whose id breaks the user-id rule, whose user was listed before, or whose file
+    is empty, not a name in ``directory`` or listed before (ignoring case, as
+    :func:`track_writer` compares names) is refused naming its ``path:line``."""
     path = Path(directory) / "index.csv"
     index: dict[str, str] = {}  # user id -> file name
+    files: set[str] = set()  # the file names, casefolded
 
     def add(row: Sequence[str]) -> None:
         user_id, name = row
         _check_user_id(user_id)
         if not name:
             raise ValueError("file must be non-empty")
+        if re.search(r"[/\\]", name) or name in (".", "..", "index.csv"):
+            raise ValueError(f"file {name!r} is not a track file's name")
         if user_id in index:
             raise ValueError(f"user {user_id!r} is listed twice")
+        if name.casefold() in files:
+            raise ValueError(f"file {name!r} is listed twice")
         index[user_id] = name
+        files.add(name.casefold())
 
     with read_rows(path, _INDEX.names, "track index", _INDEX, add) as chunks:
         try:
@@ -660,6 +667,7 @@ def read_tracks(directory: str | Path, space: ConceptSpace) -> list[TrackRecord]
                     add(row)
         except ValueError:
             index.clear()  # read_rows' fault pass calls add again from the first row
+            files.clear()
             raise
     if not index:
         raise ValueError(f"track index {path} lists no users")

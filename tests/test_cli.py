@@ -463,8 +463,17 @@ class TestErrors:
             ("u0001,", "file must be non-empty"),
             ("u0001,u0001.csv,x", "expected 2 fields, got 3"),
             ("u0000,u0001.csv", "user 'u0000' is listed twice"),
+            ("u0001,u0000.csv", "file 'u0000.csv' is listed twice"),
+            ("u0001,U0000.CSV", "file 'U0000.CSV' is listed twice"),
+            ("u0001,../../outside.csv", "file '../../outside.csv' is not a track file's name"),
+            ("u0001,sub\\u0001.csv", "file 'sub\\\\u0001.csv' is not a track file's name"),
+            ("u0001,..", "file '..' is not a track file's name"),
+            ("u0001,index.csv", "file 'index.csv' is not a track file's name"),
         ],
-        ids=["control_character", "empty_file", "three_fields", "repeated_user"],
+        ids=[
+            "control_character", "empty_file", "three_fields", "repeated_user", "shared_file",
+            "shared_file_ignoring_case", "outside_the_directory", "backslash", "parent", "index",
+        ],
     )
     def test_faulty_track_index_row_names_its_line(self, pipeline, tmp_path, capsys, row, cause):
         tracks = tmp_path / "tracks"

@@ -1,4 +1,5 @@
 import csv
+import decimal
 import io
 import math
 import re
@@ -45,6 +46,54 @@ class TestFmt:
     @example(-2.2250738585072009e-308)
     def test_row_format_prints_what_fmt_prints(self, x):
         assert "%.17g" % x == fmt(x)
+
+
+class TestFloatKernel:
+    """The kernel behind write_table prints every double as '%.17g' does."""
+
+    RNG_SEED = 20240611
+
+    def assert_prints_as_percent(self, x):
+        x = np.asarray(x, dtype=float)
+        slots = ioutil._float_slots(x).ravel()
+        got, want = slots[slots != ioutil._DROP].tobytes().decode(), "%.17g," * x.size % tuple(x.tolist())
+        if got != want:  # name the first values printed otherwise
+            pairs = zip(x.tolist(), got.split(","), want.split(","))
+            pytest.fail(repr([pair for pair in pairs if pair[1] != pair[2]][:5]))
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(self.RNG_SEED)
+        raw = rng.integers(0, 2**64, size=1 << 19, dtype=np.uint64)
+        # As many again with the exponent field set to put |x| in [1e-6, 1e18): the
+        # kernel's own range and a decade either side.
+        near = rng.integers(0, 2**64, size=1 << 19, dtype=np.uint64) & np.uint64(0x800F_FFFF_FFFF_FFFF)
+        near |= rng.integers(1003, 1083, size=near.size, dtype=np.uint64) << np.uint64(52)
+        self.assert_prints_as_percent(np.concatenate([raw, near]).view(float))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = np.array([float(f"1e{k}") for k in range(-8, 19)])
+        x = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+        self.assert_prints_as_percent(np.concatenate([x, -x]))
+
+    @pytest.mark.parametrize("s", range(1, 21))
+    def test_exact_ties_at_the_seventeenth_digit(self, s):
+        # m * 2**-(s+1), m odd, has s + 1 decimals, the last a 5: with 18 significant
+        # digits it lies halfway between two 17-digit decimals.
+        lo, hi = (2 ** (s + 1) * 10**16 // 10**s, 2 ** (s + 1) * 10**17 // 10**s)
+        m = np.random.default_rng([self.RNG_SEED, s]).integers(lo // 2, min(hi, 2**53) // 2, 2000) * 2 + 1
+        x = np.ldexp(m.astype(float), -(s + 1))
+        for value in x[:20].tolist():
+            digits = decimal.Decimal(value).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5
+        self.assert_prints_as_percent(np.concatenate([x, -x]))
+
+    def test_edges(self):
+        nans = np.array([0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001,
+                         0xFFFFFFFFFFFFFFFF], dtype=np.uint64).view(float)
+        self.assert_prints_as_percent([
+            9.9999999999999999e-5, 99999999999999999.0, 1e-4, 1e16, 1e17,
+            0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, *nans,
+        ])
 
 
 def csv_writer_line(row):

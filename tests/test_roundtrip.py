@@ -262,3 +262,47 @@ def test_recommendations_read_back_unchanged(tmp_path_factory, data):
     assert gt.read_recommendations(path) == recs
     # One line per record, even for an id holding a character str.splitlines splits at.
     assert len(path.read_bytes().split(b"\n")) == len(recs) + 1
+
+
+# Labels a vocabulary accepts: no ';', control character or line separator, no edge whitespace.
+LABELS = st.text(st.one_of(st.sampled_from(',"= \xa0é日_'), ID_CHARS), min_size=1, max_size=8).filter(
+    lambda label: ";" not in label and label == label.strip() != ""
+)
+
+
+def header_of(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return next(csv.reader(fh))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(LABELS, min_size=1, max_size=4, unique=True))
+def test_genre_labels_read_back_unchanged(tmp_path_factory, labels):
+    """Every label the vocabulary accepts comes back unchanged from the vocabulary file,
+    the profile, track-file and final-state headers and recommendations.jsonl."""
+    folder = tmp_path_factory.mktemp("labels")
+    space = gt.new_space(labels)
+    gt.write_vocabulary(space, folder / "vocabulary.txt")
+    assert gt.read_vocabulary(folder / "vocabulary.txt").names == tuple(labels)
+
+    rng = np.random.default_rng(len(labels))
+    series = gt.ProfileSeries("u", np.arange(1.0, 5.0), rng.random((4, len(labels))))
+    gt.write_profiles({"u": series}, space, folder / "profiles.csv")
+    assert header_of(folder / "profiles.csv") == ["user_id", "instant", *labels]
+    assert gt.read_profiles(folder / "profiles.csv", space)["u"].profiles.tolist() == series.profiles.tolist()
+
+    records = gt.track_users(gt.build_model(d=len(labels)), [series])
+    gt.track_writer(records, space)(folder / "tracks")
+    parts = [f"{part}_{label}" for part in ("pred", "innov") for label in labels]
+    assert header_of(folder / "tracks" / "u.csv") == ["step", *parts, "gain_norm", "p_trace"]
+    (back,) = gt.read_tracks(folder / "tracks", space)
+    assert back.predicted.tolist() == records[0].predicted.tolist()
+
+    gt.write_final_states({"u": records[0].final_state}, space, folder / "final_states.csv")
+    parts = [f"{part}_{label}" for part in ("pos", "vel", "acc") for label in labels]
+    assert header_of(folder / "final_states.csv") == ["user_id", *parts]
+    assert gt.read_final_states(folder / "final_states.csv", space)["u"].tolist() == records[0].final_state.x_hat.tolist()
+
+    rec = gt.Recommendation("u", tuple(labels[:1]), tuple(labels[1:3]), tuple(labels[3:]), "2010-03-04")
+    gt.write_recommendations([rec], folder / "recommendations.jsonl")
+    assert gt.read_recommendations(folder / "recommendations.jsonl") == [rec]
