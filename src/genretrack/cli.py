@@ -8,9 +8,10 @@ Parameter precedence is defaults < config file < command-line flags; config
 files are plain ``key=value`` lines (``#`` starts a comment line).
 
 Commands validate all inputs and compute results in memory before creating or
-writing any output file, so a failing run leaves no partial artifacts.  Each
-command imports, when it runs, only the modules it uses: ``build-profiles``
-loads ``space``, ``ioutil`` and ``profiles``; ``track`` adds ``tracking``;
+writing any output file, so a fault in an input leaves no output behind; a
+failure while writing leaves the files written before it.  Each command
+imports, when it runs, only the modules it uses: ``build-profiles`` loads
+``space``, ``ioutil`` and ``profiles``; ``track`` adds ``tracking``;
 ``recommend`` adds ``tracking`` and ``recommender``; ``evaluate`` adds
 ``tracking`` and ``evaluation``; only ``simulate`` loads ``synthetic``.  Only
 ``tracking`` knows the ``tracks/`` layout: ``track_writer`` names and writes its files,
@@ -26,15 +27,25 @@ time (``build_model(44)``'s check of ``Q`` takes 24 ms on two threads and under
 1 ms on one, and starting the pool slows ``import numpy`` on a busy host).  A
 thread count the caller set in ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or
 ``OMP_NUM_THREADS`` is honoured, nothing changes when numpy is already loaded, and
-``os.environ`` is left as it was.  Exit codes: 0 success, 2 usage or input validation error (a filter
-that diverges under the given model parameters included), 1 unexpected failure.
-Diagnostics are one line on stderr.
+``os.environ`` is left as it was.
+
+Run as the program (``python -m genretrack.cli`` or the ``genretrack`` script),
+``main`` calls ``gc.freeze()`` before it parses its arguments: the import-time heap
+(about 21,000 objects) is then never scanned again, and interpreter shutdown takes
+about 6 ms instead of 20.  Objects the command creates are collected as before, and
+stdio flushes and ``atexit`` handlers still run.  ``main(argv)`` called with a list
+leaves the collector as it found it.
+
+Exit codes: 0 success, 2 usage or input validation error (a filter that diverges
+under the given model parameters included), 1 unexpected failure.  Diagnostics are
+one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import gc
 import math
 import os
 import re
@@ -451,6 +462,9 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        # Run as the program: exempt the import-time heap from garbage collection.
+        gc.freeze()
     parser = _build_parser()
     args = parser.parse_args(argv)
     command = args.command

@@ -227,6 +227,27 @@ def interest_update(
     return updated
 
 
+def _event_order(log: EventLog) -> np.ndarray:
+    """``np.lexsort((log.fractions, log.genre_set, log.timestamps, log.user))``, found faster.
+
+    A stable sort by timestamp, then one by user code, narrowed to the smallest signed
+    type that holds every code (numpy radix-sorts 8- and 16-bit integers), order the
+    events by (user, timestamp).  Each run of events tied on both is then reordered by
+    (genre set, fraction) with one lexsort over the tied events alone, keyed first by
+    their run.  Every step is stable, so complete ties keep log order, as in the lexsort.
+    """
+    order = np.argsort(log.timestamps, kind="stable")
+    user = log.user.astype(np.min_scalar_type(-len(log.user_ids)))
+    order = order[np.argsort(user[order], kind="stable")]
+    user, stamps = user[order], log.timestamps[order]
+    tied = np.concatenate(([False], (user[1:] == user[:-1]) & (stamps[1:] == stamps[:-1]), [False]))
+    run = np.cumsum(~tied[:-1])  # tied[i]: event i - 1 ties with event i
+    at = np.flatnonzero(tied[1:] | tied[:-1])
+    ties = order[at]
+    order[at] = ties[np.lexsort((log.fractions[ties], log.genre_set[ties], run[at]))]
+    return order
+
+
 def build_series(
     events: EventLog | Iterable[WatchEvent],
     space: ConceptSpace,
@@ -263,8 +284,9 @@ def build_series(
             event = log[int(np.argmax(log.genre_set == code))]
             raise UnknownGenreError(f"{exc.args[0]} in event {event!r}") from None
 
-    # Canonical order; an event joins the first instant at or after it, or is dropped.
-    order = np.lexsort((log.fractions, log.genre_set, log.timestamps, log.user))
+    # Canonical order: user, timestamp, genre set, fraction, and log order among complete
+    # ties.  An event joins the first instant at or after it, or is dropped.
+    order = _event_order(log)
     interval = np.searchsorted(grid, log.timestamps[order], "left")
     order, interval = order[interval < grid.size], interval[interval < grid.size]
     user = log.user[order]
@@ -340,8 +362,9 @@ def read_events(path: str | Path) -> EventLog:
     """Read a watch-event log into columns.
 
     A plain log (see :func:`_read_plain_events`) is cut into cells with numpy byte
-    operations; any other log, and a plain one on which that raises ``ValueError``, is
-    read by :func:`ioutil.read_rows`.  Either way each distinct cell is handled once, in
+    operations; any other log, which one scan of the file finds before any parsing, and
+    a plain one on which the byte path raises ``ValueError``, is read by
+    :func:`ioutil.read_rows`.  Either way each distinct cell is handled once, in
     first-seen order: a user id is checked, a timestamp parsed and a genres cell split.
     Any fault raises ``ValueError`` naming the first faulty row's ``path:line`` and its
     cause, as ``read_rows`` names it.
@@ -421,8 +444,6 @@ def _plain_block(block: bytes) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each column's (distinct cells in first-seen order, each row's index into them) for
     ``block``, whole lines of a plain log, the last one's newline left off.  A cell is a
     fixed-width bytes scalar, its field padded with NUL bytes to a whole number of words."""
-    if b'"' in block or b"\r" in block or b"\0" in block:
-        raise ValueError("not a plain block")
     buf = np.frombuffer(block, np.uint8)
     ends = np.append(np.flatnonzero(buf == ord("\n")), buf.size)
     commas = np.flatnonzero(buf == ord(","))
@@ -454,13 +475,18 @@ def _read_plain_events(path: str | Path) -> EventLog:
 
     A plain log holds no ``"``, CR or NUL byte, has the exact header, a row of 4 fields
     of at most ``_FIELD_CAP`` bytes on each line that is not empty, and only valid
-    values.  It is read a bounded block of lines at a time: numpy finds each row's
-    commas, packs each field into 64-bit words and keys each block's distinct cells.
-    The blocks' distinct cells are keyed again, and each distinct cell of the log is
-    decoded once and given the value ``read_rows`` gives it.
+    values.  One scan of the whole file for those three bytes refuses a log that is not
+    plain before any parsing.  A plain log is then read a bounded block of lines at a
+    time: numpy finds each row's commas, packs each field into 64-bit words and keys
+    each block's distinct cells.  The blocks' distinct cells are keyed again, and each
+    distinct cell of the log is decoded once and given the value ``read_rows`` gives it.
     """
     blocks = []
     with open(path, "rb") as fh:
+        while block := fh.read(_PLAIN_BLOCK_BYTES):
+            if b'"' in block or b"\r" in block or b"\0" in block:
+                raise ValueError("not a plain log")
+        fh.seek(0)
         if fh.readline(_LINE_CAP).rstrip(b"\n").decode().split(",") != _EVENT_HEADER:
             raise ValueError("not the exact header")
         tail = b""

@@ -109,6 +109,28 @@ def check_order_insensitivity(rng: np.random.Generator) -> None:
         assert np.array_equal(series.profiles, other.profiles)
 
 
+def check_event_order_matches_lexsort(rng: np.random.Generator, n_users: int) -> None:
+    """profiles._event_order is np.lexsort((fractions, genre_set, timestamps, user)), over
+    ties on (user, timestamp), rows repeated whole, negative and -0.0 timestamps, -0.0
+    and 0.0 fractions, and user codes up to ``n_users - 1``."""
+    n = int(rng.integers(1, 200))
+    columns = [
+        rng.integers(0, n_users, n),
+        rng.choice([-86400.5, -1.0, -0.0, 0.0, 3.0, 1e9], n),
+        rng.integers(0, 3, n),
+        rng.choice([-0.0, 0.0, 0.25, 1.0], n),
+    ]
+    columns[0][0] = n_users - 1  # the narrowed codes must hold the largest
+    again = rng.integers(0, n, int(rng.integers(0, n)))  # rows repeated whole: complete ties
+    shuffle = rng.permutation(n + again.size)
+    user, timestamps, genre_set, fractions = (np.concatenate((c, c[again]))[shuffle] for c in columns)
+    # Zero-padded ids sort as their codes, so EventLog keeps the codes as drawn.
+    user_ids = tuple(f"u{i:05d}" for i in range(n_users))
+    log = gt.EventLog(user_ids, user, timestamps, (("a",), ("b",), ("c",)), genre_set, fractions)
+    expected = np.lexsort((log.fractions, log.genre_set, log.timestamps, log.user))
+    assert np.array_equal(profiles._event_order(log), expected)
+
+
 def reference_fold(events, space, instants, decay=1.0, normalize=False):
     """The one-event-at-a-time fold that build_series must match bit for bit.
 

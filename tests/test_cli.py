@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import json
 import os
@@ -904,6 +905,38 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert (out / "simulate.manifest.txt").is_file()
+
+    # How each entry point runs main: `python -m genretrack.cli`, and the `genretrack`
+    # console script, which calls genretrack.cli:main with no arguments.
+    ENTRIES = {
+        "module": "import runpy\nrunpy.run_module('genretrack.cli', run_name='__main__', alter_sys=True)",
+        "console_script": "from genretrack.cli import main\nsys.exit(main())",
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_run_as_the_program_freezes_the_heap_and_keeps_atexit(self, pipeline, tmp_path, entry):
+        sim, out = pipeline["sim"], tmp_path / "built"
+        argv = [
+            "build-profiles", "--vocabulary", str(sim / "vocabulary.txt"),
+            "--events", str(sim / "events.csv"), "--instants", str(sim / "instants.txt"),
+            "--out", str(out),
+        ]
+        # The hook prints after main returns; its line on stdout shows stdio is still flushed.
+        code = (
+            "import atexit, gc, json, sys\n"
+            "assert gc.get_freeze_count() == 0\n"
+            "atexit.register(lambda: print(json.dumps(gc.get_freeze_count())))\n"
+            f"sys.argv = ['genretrack', *{argv!r}]\n"
+            + self.ENTRIES[entry]
+        )
+        assert fresh_python(code) > 0
+        for name in ("built_profiles.csv", "build-profiles.manifest.txt"):
+            assert (out / name).read_bytes() == (pipeline["built"] / name).read_bytes()
+
+    def test_main_called_with_arguments_leaves_the_collector_as_it_was(self, tmp_path):
+        before = gc.get_freeze_count(), gc.isenabled(), gc.get_threshold()
+        assert main(["simulate", "--d", "3", "--k", "3", "--users", "1", "--out", str(tmp_path / "o")]) == 0
+        assert (gc.get_freeze_count(), gc.isenabled(), gc.get_threshold()) == before
 
 
 # sha256 of every file build-profiles, track, recommend and evaluate write from the inputs

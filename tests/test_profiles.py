@@ -9,6 +9,7 @@ from genretrack import ioutil, profiles
 from properties import (
     assert_reads_like_reference,
     assert_same_log,
+    check_event_order_matches_lexsort,
     check_fold_matches_reference,
     check_order_insensitivity,
     check_read_events_matches_reference,
@@ -200,6 +201,15 @@ class TestBuildSeries:
 
     def test_seeded_reference_fold_sweep(self):
         assert run_many(check_fold_matches_reference, 100, seed=203) == 100
+
+    # 128 and 129 users narrow the codes to int8 and int16, 32,769 to int32.
+    @pytest.mark.parametrize("n_users, n_cases", [(1, 50), (128, 50), (129, 50), (32769, 5)])
+    def test_event_order_is_the_lexsort(self, n_users, n_cases):
+        check = functools.partial(check_event_order_matches_lexsort, n_users=n_users)
+        assert run_many(check, n_cases, seed=n_users) == n_cases
+
+    def test_event_order_of_an_empty_log(self):
+        assert profiles._event_order(gt.EventLog.from_events([])).size == 0
 
     def test_unknown_genre_named_in_error(self, space):
         events = [
@@ -565,6 +575,18 @@ class TestReadEventsBytePath:
             profiles._distinct(words)
         first, index = profiles._distinct(np.array([[7, 3, 7, 3, 9]], dtype=np.uint64))
         assert first.tolist() == [0, 1, 4] and index.tolist() == [0, 1, 0, 1, 2]
+
+    def test_a_quote_in_the_last_row_never_enters_the_byte_path(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(profiles, "_PLAIN_BLOCK_BYTES", 64)
+        blocks = []
+        plain_block = profiles._plain_block
+        monkeypatch.setattr(profiles, "_plain_block", lambda block: blocks.append(block) or plain_block(block))
+        rows = [f"u{i % 5},{i},Drama,1".encode() for i in range(100)]
+        assert len(gt.read_events(self.write(tmp_path, *rows))) == 100 and blocks  # the count counts
+        blocks.clear()
+        path = self.write(tmp_path, *rows, b'"u",5,Drama,1')
+        assert len(gt.read_events(path)) == 101
+        assert blocks == []
 
     def test_rows_across_many_blocks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(profiles, "_PLAIN_BLOCK_BYTES", 64)
