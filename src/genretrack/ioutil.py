@@ -274,31 +274,37 @@ def _text_lines(path: str | Path) -> list[str]:
 
 
 def read_table(
-    path: str | Path, header: Sequence[str], what: str, labeled: bool = False
+    path: str | Path, header: Sequence[str], what: str, labeled: bool = False,
+    valid: Callable = lambda labels, values: True, check_row: Callable = lambda row: None,
 ) -> tuple[list[str], np.ndarray]:
     """A CSV table's rows: (labels, values), the first column's exact text if ``labeled``.
 
     Read by :func:`read_rows`; the floats are those ``float()`` gives.  Labels are user
-    ids, each distinct one checked once.
+    ids, each distinct one checked once.  If ``valid(labels, values)`` is false, the fault
+    pass runs ``check_row`` on each row whose cells parse, in file order, and names the
+    ``path:line`` of the first it raises on.
     """
     n = len(header) - labeled
     dtype = np.dtype([("label", object)] * labeled + [("values", float, (n,))])
 
-    def check_row(row: list[str]) -> None:
+    def check_cells(row: list[str]) -> None:
         if labeled:
             _check_user_id(row[0])
         for cell in row[labeled:]:
             _parse_float(cell)
+        check_row(row)
 
     labels: list[str] = []
     values = [np.empty((0, n))]
-    with read_rows(path, header, what, dtype, check_row) as chunks:
+    with read_rows(path, header, what, dtype, check_cells) as chunks:
         for chunk in chunks:
             labels += chunk["label"].tolist() if labeled else []
             values.append(chunk["values"])
         for label in dict.fromkeys(labels):
             _check_user_id(label)
-    return labels, np.concatenate(values)
+        if not valid(labels, table := np.concatenate(values)):
+            raise ValueError(f"a row of {what} {path} is refused")  # _first_fault words it
+    return labels, table
 
 
 def _parse_float(cell: str) -> float:

@@ -539,13 +539,26 @@ def write_profiles(
 
 
 def read_profiles(path: str | Path, space: ConceptSpace) -> dict[str, ProfileSeries]:
-    """Each user's series, keyed and ordered by user id; a user's rows stay in file order."""
+    """Each user's series, keyed and ordered by user id; a user's rows stay in file order.
+    A row whose instant is not after its user's last is refused naming its ``path:line``."""
     header = ["user_id", "instant", *space.names]
-    users, table = read_table(path, header, "profile table", labeled=True)
-    rows: dict[str, list[int]] = {}
-    for i, user_id in enumerate(users):
-        rows.setdefault(user_id, []).append(i)
-    return {
-        user_id: ProfileSeries(user_id, table[rows[user_id], 0], table[rows[user_id], 1:])
-        for user_id in sorted(rows)
-    }
+    last: dict[str, tuple[float, str]] = {}  # user id -> (instant, cell) of its last row
+    runs: list[np.ndarray] = []  # each user's row numbers in file order, users in id order
+
+    def increasing(row: list[str]) -> None:
+        user_id, instant, cell = row[0], float(row[1]), row[1].strip()
+        if user_id in last and instant <= last[user_id][0]:  # a NaN is ProfileSeries' fault
+            got = f"got {cell} after {last[user_id][1]}"
+            raise ValueError(f"instants for {user_id!r} must be strictly increasing, {got}")
+        last[user_id] = instant, cell
+
+    def valid(users: list[str], table: np.ndarray) -> bool:
+        code = np.unique(np.array(users, dtype=str), return_inverse=True)[1]
+        order = np.argsort(code, kind="stable")
+        instants, same_user = table[order, 0], np.diff(code[order]) == 0
+        runs.extend(np.split(order, np.flatnonzero(~same_user) + 1) if users else [])
+        return not np.any(same_user & (instants[1:] <= instants[:-1]))
+
+    users, table = read_table(path, header, "profile table", labeled=True,
+                              valid=valid, check_row=increasing)
+    return {users[r[0]]: ProfileSeries(users[r[0]], table[r, 0], table[r, 1:]) for r in runs}

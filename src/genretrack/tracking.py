@@ -611,14 +611,19 @@ def write_final_states(
 
 
 def read_final_states(path: str | Path, space: ConceptSpace) -> dict[str, np.ndarray]:
-    """Final state vectors keyed by user id; covariances are not persisted."""
-    users, table = read_table(path, _final_state_header(space), "final-state file", labeled=True)
-    states: dict[str, np.ndarray] = {}
-    for user_id, vec in zip(users, table):
-        if user_id in states:
-            raise ValueError(f"duplicate final state for user {user_id!r}")
-        states[user_id] = vec
-    return states
+    """Final state vectors keyed by user id; covariances are not persisted.  A user's second
+    row is refused naming its ``path:line``."""
+    seen: set[str] = set()
+
+    def once(row: list[str]) -> None:
+        if row[0] in seen:
+            raise ValueError(f"duplicate final state for user {row[0]!r}")
+        seen.add(row[0])
+
+    header = _final_state_header(space)
+    users, table = read_table(path, header, "final-state file", labeled=True,
+                              valid=lambda users, _: len(set(users)) == len(users), check_row=once)
+    return dict(zip(users, table))
 
 
 def read_track_record(path: str | Path, space: ConceptSpace, user_id: str = "") -> TrackRecord:

@@ -490,6 +490,35 @@ class TestErrors:
         assert capsys.readouterr().err == f"genretrack evaluate: error: {index}:4: {cause}\n"
         assert not (tmp_path / "o").exists()
 
+    def test_final_state_listed_twice_names_its_line(self, pipeline, tmp_path, capsys):
+        lines = (pipeline["tracked"] / "final_states.csv").read_text(encoding="utf-8").splitlines(True)
+        states = tmp_path / "final_states.csv"
+        states.write_text("".join([*lines[:3], lines[1], *lines[3:]]), encoding="utf-8")
+        code = run([
+            "recommend", "--vocabulary", str(pipeline["sim"] / "vocabulary.txt"),
+            "--final-states", str(states), "--profiles", str(pipeline["built"] / "built_profiles.csv"),
+            "--events", str(pipeline["sim"] / "events.csv"), "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        cause = "duplicate final state for user 'u0000'"
+        assert capsys.readouterr().err == f"genretrack recommend: error: {states}:4: {cause}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_profile_instant_out_of_order_names_its_line(self, pipeline, tmp_path, capsys):
+        lines = (pipeline["built"] / "built_profiles.csv").read_text(encoding="utf-8").splitlines(True)
+        profiles_csv = tmp_path / "profiles.csv"
+        profiles_csv.write_text("".join([*lines[:3], lines[1], *lines[3:]]), encoding="utf-8")
+        code = run([
+            "track", "--vocabulary", str(pipeline["sim"] / "vocabulary.txt"),
+            "--profiles", str(profiles_csv), "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        first, second = (line.split(",")[1] for line in lines[1:3])
+        cause = f"instants for 'u0000' must be strictly increasing, got {first} after {second}"
+        assert capsys.readouterr().err == f"genretrack track: error: {profiles_csv}:4: {cause}\n"
+        assert not (tmp_path / "o").exists()
+
+
 class TestUndecodableBytes:
     """A byte that is not UTF-8 in any input names the file and the line."""
 
@@ -761,6 +790,20 @@ class TestLazyLoading:
         assert "genretrack.recommender" in loaded
         assert not {"genretrack.synthetic", "genretrack.evaluation"} & set(loaded)
 
+    def test_recommend_loads_no_numpy_ma(self, pipeline, tmp_path):
+        sim, built, tracked = pipeline["sim"], pipeline["built"], pipeline["tracked"]
+        argv = [
+            "recommend", "--vocabulary", str(sim / "vocabulary.txt"),
+            "--final-states", str(tracked / "final_states.csv"),
+            "--profiles", str(built / "built_profiles.csv"), "--events", str(sim / "events.csv"),
+            "--out", str(tmp_path / "o"),
+        ]
+        loaded = fresh_python(
+            f"import json, sys\nfrom genretrack.cli import main\nassert main({argv!r}) == 0\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma'])))"
+        )
+        assert loaded == []
+
     def test_evaluate_loads_neither_recommender_nor_synthetic(self, pipeline, tmp_path):
         sim, built, tracked = pipeline["sim"], pipeline["built"], pipeline["tracked"]
         loaded = command_modules([
@@ -932,6 +975,36 @@ class TestEntryPoint:
         assert fresh_python(code) > 0
         for name in ("built_profiles.csv", "build-profiles.manifest.txt"):
             assert (out / name).read_bytes() == (pipeline["built"] / name).read_bytes()
+
+    def test_run_as_a_module_collects_nothing_before_the_freeze(self, tmp_path):
+        # Counted from when runpy executes genretrack.cli's code to main()'s gc.freeze().
+        argv = ["simulate", "--d", "2", "--k", "3", "--users", "1", "--out", str(tmp_path / "o")]
+        code = (
+            "import gc, json, runpy, sys\n"
+            "starts, at = [], {}\n"
+            "gc.callbacks.append(lambda phase, info: phase == 'start' and starts.append(info))\n"
+            "def mark(event, args):\n"
+            "    if event == 'exec' and args[0].co_filename.endswith('cli.py'):\n"
+            "        at.setdefault('import', len(starts))\n"
+            "sys.addaudithook(mark)\n"
+            "freeze = gc.freeze\n"
+            "gc.freeze = lambda: (at.setdefault('freeze', len(starts)), freeze())\n"
+            f"sys.argv = ['genretrack', *{argv!r}]\n"
+            "try:\n"
+            "    runpy.run_module('genretrack.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exit:\n"
+            "    assert exit.code == 0, exit.code\n"
+            "print(json.dumps([at['freeze'] - at['import'], gc.isenabled()]))"
+        )
+        assert fresh_python(code) == [0, True]
+
+    def test_library_import_leaves_the_collector_as_it_was(self):
+        state = "[gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()]"
+        before, after = fresh_python(
+            f"import gc, json\nbefore = {state}\nimport genretrack.cli\n"
+            f"print(json.dumps([before, {state}]))"
+        )
+        assert after == before
 
     def test_main_called_with_arguments_leaves_the_collector_as_it_was(self, tmp_path):
         before = gc.get_freeze_count(), gc.isenabled(), gc.get_threshold()
