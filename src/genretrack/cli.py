@@ -7,14 +7,14 @@ parameter values and where each came from (flag, config file, or default).
 Parameter precedence is defaults < config file < command-line flags; config
 files are plain ``key=value`` lines (``#`` starts a comment line).
 
-Commands validate all inputs and compute results in memory before creating or
-writing any output file, so a fault in an input leaves no output behind; a
-failure while writing leaves the files written before it.  Each command
-imports, when it runs, only the modules it uses: ``build-profiles`` loads
-``space``, ``ioutil`` and ``profiles``; ``track`` adds ``tracking``;
-``recommend`` adds ``tracking`` and ``recommender``; ``evaluate`` adds
-``tracking`` and ``evaluation``; only ``simulate`` loads ``synthetic``.  Only
-``tracking`` knows the ``tracks/`` layout: ``track_writer`` names and writes its files,
+Each command is one pass: it reads and checks every input and computes its results,
+and only after its last check creates ``--out`` and writes its files there; ``main``
+then adds the manifest.  So a fault in an input leaves no output behind; a failure
+while writing leaves the files written before it.  Each command imports, when it runs,
+only the modules it uses: ``build-profiles`` loads ``space``, ``ioutil`` and
+``profiles``; ``track`` adds ``tracking``; ``recommend`` adds ``tracking`` and
+``recommender``; ``evaluate`` adds ``tracking`` and ``evaluation``; only ``simulate``
+loads ``synthetic``.  Only ``tracking`` knows the ``tracks/`` layout: ``write_tracks`` names and writes its files,
 ``read_tracks`` reads them.  Every CSV input is read by ``ioutil.read_rows``, except a plain
 event log, which ``profiles.read_events`` cuts with numpy byte operations and hands to
 ``read_rows`` on any fault.  So a faulty row is named by ``path:line`` and its cause, and a
@@ -58,7 +58,6 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import Callable
 
 # OpenBLAS sizes its thread pool once, when numpy loads it (see the module docstring).
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -312,10 +311,14 @@ def _parse_day(raw: str) -> int:
     return (day - _EPOCH).days
 
 
-Writer = Callable[[Path], None]
+def _output_dir(effective: dict) -> Path:
+    """Create ``--out``; a command calls this after its last check."""
+    outdir = Path(effective["out"])
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir
 
 
-def cmd_simulate(effective: dict) -> Writer:
+def cmd_simulate(effective: dict) -> None:
     from .profiles import write_events, write_profiles
     from .space import write_vocabulary
     from .synthetic import ScenarioConfig, generate_scenario
@@ -329,22 +332,17 @@ def cmd_simulate(effective: dict) -> Writer:
         seed=effective["seed"],
     )
     scenario = generate_scenario(config, programs_per_day=effective["programs_per_day"])
-
-    def write(outdir: Path) -> None:
-        write_vocabulary(scenario.space, outdir / "vocabulary.txt")
-        (outdir / "instants.txt").write_text(
-            "\n".join(fmt(t) for t in scenario.instants) + "\n", encoding="utf-8"
-        )
-        write_events(scenario.events, outdir / "events.csv")
-        write_profiles(scenario.observed(), scenario.space, outdir / "profiles.csv")
-        write_profiles(
-            {u.user_id: u.truth for u in scenario.users}, scenario.space, outdir / "truth.csv"
-        )
-
-    return write
+    outdir = _output_dir(effective)
+    write_vocabulary(scenario.space, outdir / "vocabulary.txt")
+    (outdir / "instants.txt").write_text(
+        "\n".join(fmt(t) for t in scenario.instants) + "\n", encoding="utf-8"
+    )
+    write_events(scenario.events, outdir / "events.csv")
+    write_profiles(scenario.observed(), scenario.space, outdir / "profiles.csv")
+    write_profiles({u.user_id: u.truth for u in scenario.users}, scenario.space, outdir / "truth.csv")
 
 
-def cmd_build_profiles(effective: dict) -> Writer:
+def cmd_build_profiles(effective: dict) -> None:
     from .profiles import build_series, read_events, write_profiles
     from .space import read_vocabulary
     space = read_vocabulary(effective["vocabulary"])
@@ -357,17 +355,13 @@ def cmd_build_profiles(effective: dict) -> Writer:
     )
     if not series:
         raise CliError("no profile series could be built from the given events")
-
-    def write(outdir: Path) -> None:
-        write_profiles(series, space, outdir / "built_profiles.csv")
-
-    return write
+    write_profiles(series, space, _output_dir(effective) / "built_profiles.csv")
 
 
-def cmd_track(effective: dict) -> Writer:
+def cmd_track(effective: dict) -> None:
     from .profiles import read_profiles
     from .space import read_vocabulary
-    from .tracking import build_model, track_users, track_writer, write_final_states
+    from .tracking import build_model, track_users, write_final_states, write_tracks
     space = read_vocabulary(effective["vocabulary"])
     series_by_user = read_profiles(effective["profiles"], space)
     if not series_by_user:
@@ -382,18 +376,13 @@ def cmd_track(effective: dict) -> Writer:
     )
     series = [series_by_user[user_id] for user_id in sorted(series_by_user)]
     records = track_users(model, series, p0=effective["p0"])
-
-    write_tracks = track_writer(records, space)
-
-    def write(outdir: Path) -> None:
-        write_tracks(outdir / "tracks")
-        final_states = {record.user_id: record.final_state for record in records}
-        write_final_states(final_states, space, outdir / "final_states.csv")
-
-    return write
+    outdir = Path(effective["out"])
+    write_tracks(records, space, outdir / "tracks")  # creates --out after its own checks
+    final_states = {record.user_id: record.final_state for record in records}
+    write_final_states(final_states, space, outdir / "final_states.csv")
 
 
-def cmd_recommend(effective: dict) -> Writer:
+def cmd_recommend(effective: dict) -> None:
     from .profiles import read_events, read_profiles
     from .recommender import concept_deltas, recommend, write_recommendations
     from .space import read_vocabulary
@@ -429,14 +418,10 @@ def cmd_recommend(effective: dict) -> Writer:
         recommendations.append(
             recommend(deltas, watched_today.get(user_id, set()), space, user_id, date_str)
         )
-
-    def write(outdir: Path) -> None:
-        write_recommendations(recommendations, outdir / "recommendations.jsonl")
-
-    return write
+    write_recommendations(recommendations, _output_dir(effective) / "recommendations.jsonl")
 
 
-def cmd_evaluate(effective: dict) -> Writer:
+def cmd_evaluate(effective: dict) -> None:
     from .evaluation import evaluate_many, write_histogram, write_report, write_summary
     from .profiles import read_profiles
     from .space import read_vocabulary
@@ -448,13 +433,10 @@ def cmd_evaluate(effective: dict) -> Writer:
         pooled = evaluate_many(records, observations, tau=effective["tau"])
     except KeyError as exc:
         raise CliError(str(exc.args[0])) from exc
-
-    def write(outdir: Path) -> None:
-        write_report(pooled, outdir / "report.csv")
-        write_summary(pooled, outdir / "summary.txt")
-        write_histogram(pooled, outdir / "histogram.csv")
-
-    return write
+    outdir = _output_dir(effective)
+    write_report(pooled, outdir / "report.csv")
+    write_summary(pooled, outdir / "summary.txt")
+    write_histogram(pooled, outdir / "histogram.csv")
 
 
 _HANDLERS = {
@@ -476,12 +458,8 @@ def main(argv: list[str] | None = None) -> int:
     command = args.command
     try:
         effective, sources = _merge_params(command, args)
-        # Validate and compute everything first; only then touch the filesystem.
-        write_outputs = _HANDLERS[command](effective)
-        outdir = Path(effective["out"])
-        outdir.mkdir(parents=True, exist_ok=True)
-        write_outputs(outdir)
-        _write_manifest(outdir, command, effective, sources)
+        _HANDLERS[command](effective)
+        _write_manifest(Path(effective["out"]), command, effective, sources)
     except Exception as exc:
         input_errors: tuple = (CliError, ValueError, KeyError, OSError)
         # Under track_users a filter that diverges depends only on the model and p0, which are

@@ -35,7 +35,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -59,7 +59,7 @@ __all__ = [
     "track_series_decoupled",
     "track_users",
     "read_track_record",
-    "track_writer",
+    "write_tracks",
     "read_tracks",
     "read_final_states",
     "write_final_states",
@@ -262,10 +262,8 @@ def _psd_tolerance(diagonal: np.ndarray) -> float:
     return PSD_TOL * max(1.0, float(np.max(np.abs(diagonal))))
 
 
-def _gain_and_cross(
-    model: TrackingModel, P: np.ndarray, step: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Return (K, A P H') for prediction covariance P, which ``step`` consumes."""
+def _dense_step(model: TrackingModel, P: np.ndarray, step: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Return (K, P(k+1 | k)) for prediction covariance P, which ``step`` consumes."""
     AP = model.A @ P
     APHt = AP @ model.H.T
     S = model.H @ (P @ model.H.T) + model.R
@@ -273,7 +271,8 @@ def _gain_and_cross(
     _check_conditioning(np.linalg.eigvalsh(S), step)
     L = np.linalg.cholesky(S)
     K = np.linalg.solve(L.T, np.linalg.solve(L, APHt.T)).T
-    return K, APHt
+    P_next = AP @ model.A.T - K @ APHt.T + model.Q
+    return K, 0.5 * (P_next + P_next.T)
 
 
 def gain(model: TrackingModel, P: np.ndarray) -> np.ndarray:
@@ -287,8 +286,7 @@ def gain(model: TrackingModel, P: np.ndarray) -> np.ndarray:
     n = 3 * model.d
     if P.shape != (n, n):
         raise ValueError(f"covariance must be {n}x{n}, got {P.shape}")
-    K, _ = _gain_and_cross(model, P)
-    return K
+    return _dense_step(model, P, None)[0]
 
 
 def predict_step(model: TrackingModel, state: FilterState, z: np.ndarray) -> FilterState:
@@ -307,12 +305,9 @@ def predict_step(model: TrackingModel, state: FilterState, z: np.ndarray) -> Fil
     if not np.all(np.isfinite(z)):
         raise ValueError("observation contains non-finite values")
 
-    P = state.P
-    K, APHt = _gain_and_cross(model, P, state.k)
+    K, P_next = _dense_step(model, state.P, state.k)
     innovation = z - model.H @ state.x_hat
     x_next = model.A @ state.x_hat + K @ innovation
-    P_next = (model.A @ P) @ model.A.T - K @ APHt.T + model.Q
-    P_next = 0.5 * (P_next + P_next.T)
     # Cholesky of P + tol*I succeeds exactly when min eig > -tol.
     try:
         np.linalg.cholesky(P_next + _psd_tolerance(np.diag(P_next)) * np.eye(P_next.shape[0]))
@@ -327,10 +322,7 @@ def covariance_step(model: TrackingModel, P: np.ndarray) -> np.ndarray:
     Shares the exact arithmetic of :func:`predict_step`, so a fixed point of
     this map is a fixed point of the filter's covariance trajectory.
     """
-    P = np.asarray(P, dtype=float)
-    K, APHt = _gain_and_cross(model, P)
-    P_next = (model.A @ P) @ model.A.T - K @ APHt.T + model.Q
-    return 0.5 * (P_next + P_next.T)
+    return _dense_step(model, np.asarray(P, dtype=float), None)[1]
 
 
 def steady_state_covariance(
@@ -560,10 +552,11 @@ def _track_header(space: ConceptSpace) -> list[str]:
     return ["step", *labels, "gain_norm", "p_trace"]
 
 
-def track_writer(records: Sequence[TrackRecord], space: ConceptSpace) -> Callable[[Path], None]:
-    """The function writing ``records`` into a tracks directory, each to a file named from its
-    user id (each character outside ``[A-Za-z0-9._-]`` made ``_``, then ``_2``, ``_3``, ... while
-    ``index.csv`` or an earlier name matches it ignoring case), and the index; all checked first."""
+def write_tracks(records: Sequence[TrackRecord], space: ConceptSpace, directory: str | Path) -> None:
+    """Write ``records`` into the tracks ``directory``, each to a file named from its user id
+    (each character outside ``[A-Za-z0-9._-]`` made ``_``, then ``_2``, ``_3``, ... while
+    ``index.csv`` or an earlier name matches it ignoring case), and the index.  Every record
+    is checked and every file named before the directory and its missing parents are created."""
     if not records:
         raise ValueError("no track records to write")
     for d in (r.predicted.shape[1] for r in records if r.predicted.shape[1] != space.d):
@@ -581,16 +574,14 @@ def track_writer(records: Sequence[TrackRecord], space: ConceptSpace) -> Callabl
         taken.add(name.casefold())
         files[user_id] = name
 
-    def write(directory: Path) -> None:
-        directory.mkdir(exist_ok=True)
-        parts = [(r.steps, r.predicted, r.innovations, r.gain_norms, r.p_traces) for r in records]
-        paths, sizes = [directory / name for name in files.values()], [r.n_steps for r in records]
-        write_table(paths, _track_header(space), [np.concatenate(c) for c in zip(*parts)], sizes)
-        codes = np.arange(len(files))  # a file name is its own CSV cell: it needs no quotes
-        columns = [(csv_cells(files), codes), (list(files.values()), codes)]
-        write_table(directory / "index.csv", _INDEX.names, columns)
-
-    return write
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    parts = [(r.steps, r.predicted, r.innovations, r.gain_norms, r.p_traces) for r in records]
+    paths, sizes = [directory / name for name in files.values()], [r.n_steps for r in records]
+    write_table(paths, _track_header(space), [np.concatenate(c) for c in zip(*parts)], sizes)
+    codes = np.arange(len(files))  # a file name is its own CSV cell: it needs no quotes
+    columns = [(csv_cells(files), codes), (list(files.values()), codes)]
+    write_table(directory / "index.csv", _INDEX.names, columns)
 
 
 def _final_state_header(space: ConceptSpace) -> list[str]:
@@ -643,10 +634,10 @@ def read_track_record(path: str | Path, space: ConceptSpace, user_id: str = "") 
 
 
 def read_tracks(directory: str | Path, space: ConceptSpace) -> list[TrackRecord]:
-    """The records :func:`track_writer` wrote into ``directory``, in its index's order.  An
+    """The records :func:`write_tracks` wrote into ``directory``, in its index's order.  An
     index row whose id breaks the user-id rule, whose user was listed before, or whose file
     is empty, not a name in ``directory`` or listed before (ignoring case, as
-    :func:`track_writer` compares names) is refused naming its ``path:line``."""
+    :func:`write_tracks` compares names) is refused naming its ``path:line``."""
     path = Path(directory) / "index.csv"
     index: dict[str, str] = {}  # user id -> file name
     files: set[str] = set()  # the file names, casefolded

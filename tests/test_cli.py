@@ -172,6 +172,7 @@ class TestConfigPrecedence:
         code = run(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_malformed_config_line(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
@@ -179,6 +180,7 @@ class TestConfigPrecedence:
         code = run(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "key=value" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestErrors:
@@ -206,6 +208,7 @@ class TestErrors:
         err = capsys.readouterr().err
         assert str(tmp_path / "nope.txt") in err
         assert "No such file" in err
+        assert not (tmp_path / "o").exists()
 
     def test_unreadable_input_directory(self, tmp_path, capsys):
         code = run(
@@ -221,6 +224,7 @@ class TestErrors:
         assert str(tmp_path) in err
         assert "Is a directory" in err
         assert "unexpected" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_genre_label(self, tmp_path, capsys):
         vocab = tmp_path / "vocab.txt"
@@ -374,6 +378,7 @@ class TestErrors:
         )
         assert code == 2
         assert "no events" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_non_finite_instant_refused(self, pipeline, tmp_path, capsys):
         sim = pipeline["sim"]
@@ -436,6 +441,7 @@ class TestErrors:
         )
         assert code == 2
         assert "index" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
     def test_cell_past_the_csv_field_limit_does_not_stop_the_fault_pass(self, tmp_path, capsys):
@@ -517,6 +523,108 @@ class TestErrors:
         cause = f"instants for 'u0000' must be strictly increasing, got {first} after {second}"
         assert capsys.readouterr().err == f"genretrack track: error: {profiles_csv}:4: {cause}\n"
         assert not (tmp_path / "o").exists()
+
+
+class TestCommandFaults:
+    """Faults a command finds in inputs every reader accepts: exit 2, one line, no --out."""
+
+    @staticmethod
+    def refused(tmp_path, capsys, argv, message):
+        out = tmp_path / "o"
+        assert run([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"genretrack {argv[0]}: error: {message}\n"
+        assert not out.exists()
+
+    @staticmethod
+    def one_genre_inputs(tmp_path, events="u,150,a,1\n", profiles="u,1,0.5\nu,2,0.6\n",
+                         states="u,1,0,0\n"):
+        """Vocabulary ``a`` and tables holding the given rows under their headers."""
+        files = {
+            "vocabulary": ("vocab.txt", "a\n"),
+            "events": ("events.csv", "user_id,timestamp,genres,watched_fraction\n" + events),
+            "instants": ("instants.txt", "100\n200\n"),
+            "profiles": ("profiles.csv", "user_id,instant,a\n" + profiles),
+            "final_states": ("final_states.csv", "user_id,pos_a,vel_a,acc_a\n" + states),
+        }
+        for key, (name, text) in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        return {key: tmp_path / name for key, (name, _) in files.items()}
+
+    def evaluate_argv(self, pipeline, tmp_path, profiles=None):
+        tracks = tmp_path / "tracks"
+        shutil.copytree(pipeline["tracked"] / "tracks", tracks)
+        return [
+            "evaluate", "--vocabulary", str(pipeline["sim"] / "vocabulary.txt"),
+            "--profiles", str(profiles or pipeline["built"] / "built_profiles.csv"),
+            "--tracks", str(tracks),
+        ], tracks
+
+    def test_build_profiles_with_every_event_after_the_last_instant(self, tmp_path, capsys):
+        inputs = self.one_genre_inputs(tmp_path, events="u,500,a,1\n")
+        argv = ["build-profiles", "--vocabulary", str(inputs["vocabulary"]),
+                "--events", str(inputs["events"]), "--instants", str(inputs["instants"])]
+        self.refused(tmp_path, capsys, argv, "no profile series could be built from the given events")
+
+    def test_track_with_a_header_only_profile_table(self, tmp_path, capsys):
+        inputs = self.one_genre_inputs(tmp_path, profiles="")
+        argv = ["track", "--vocabulary", str(inputs["vocabulary"]), "--profiles", str(inputs["profiles"])]
+        self.refused(tmp_path, capsys, argv, f"profile table {inputs['profiles']} contains no series")
+
+    @pytest.mark.parametrize(
+        "tables, message",
+        [
+            ({"states": ""}, "final-state file {final_states} contains no users"),
+            ({"events": ""}, "event log is empty; pass --date to pick the recommendation day"),
+            ({"states": "u,1,0,0\nv,1,0,0\n"}, "user 'v' has a final state but no profile series"),
+        ],
+        ids=["header_only_final_states", "empty_event_log_and_no_date", "user_with_no_profile_series"],
+    )
+    def test_recommend(self, tmp_path, capsys, tables, message):
+        inputs = self.one_genre_inputs(tmp_path, **tables)
+        argv = ["recommend", "--vocabulary", str(inputs["vocabulary"]),
+                "--final-states", str(inputs["final_states"]), "--profiles", str(inputs["profiles"]),
+                "--events", str(inputs["events"])]
+        self.refused(tmp_path, capsys, argv, message.format(**inputs))
+
+    def test_evaluate_for_a_user_with_no_observed_series(self, pipeline, tmp_path, capsys):
+        lines = (pipeline["built"] / "built_profiles.csv").read_text(encoding="utf-8").splitlines(True)
+        profiles_csv = tmp_path / "profiles.csv"
+        profiles_csv.write_text("".join(line for line in lines if not line.startswith("u0000,")), encoding="utf-8")
+        argv, _ = self.evaluate_argv(pipeline, tmp_path, profiles_csv)
+        self.refused(tmp_path, capsys, argv, "no observed series for user 'u0000'")
+
+    def test_evaluate_with_a_header_only_track_index(self, pipeline, tmp_path, capsys):
+        argv, tracks = self.evaluate_argv(pipeline, tmp_path)
+        (tracks / "index.csv").write_text("user_id,file\n", encoding="utf-8")
+        self.refused(tmp_path, capsys, argv, f"track index {tracks / 'index.csv'} lists no users")
+
+    def test_evaluate_with_a_header_only_track_file(self, pipeline, tmp_path, capsys):
+        argv, tracks = self.evaluate_argv(pipeline, tmp_path)
+        track = tracks / "u0001.csv"
+        track.write_text(track.read_text(encoding="utf-8").splitlines(True)[0], encoding="utf-8")
+        self.refused(tmp_path, capsys, argv, f"track record {track} has no steps")
+
+    def build_profiles_argv(self, pipeline):
+        sim = pipeline["sim"]
+        return ["build-profiles", "--vocabulary", str(sim / "vocabulary.txt"),
+                "--events", str(sim / "events.csv"), "--instants", str(sim / "instants.txt")]
+
+    def test_normalize_from_a_config_file_matches_the_flag(self, pipeline, tmp_path):
+        config = tmp_path / "fold.cfg"
+        config.write_text("normalize=yes\n", encoding="utf-8")
+        argv = self.build_profiles_argv(pipeline)
+        assert run([*argv, "--config", str(config), "--out", str(tmp_path / "config")]) == 0
+        assert run([*argv, "--normalize", "--out", str(tmp_path / "flag")]) == 0
+        built = (tmp_path / "config" / "built_profiles.csv").read_bytes()
+        assert built == (tmp_path / "flag" / "built_profiles.csv").read_bytes()
+        assert built != (pipeline["built"] / "built_profiles.csv").read_bytes()
+
+    def test_normalize_that_is_not_a_boolean(self, pipeline, tmp_path, capsys):
+        config = tmp_path / "fold.cfg"
+        config.write_text("normalize=maybe\n", encoding="utf-8")
+        argv = [*self.build_profiles_argv(pipeline), "--config", str(config)]
+        message = f"{config}:1: bad value for normalize: expected a boolean, got 'maybe'"
+        self.refused(tmp_path, capsys, argv, message)
 
 
 class TestUndecodableBytes:
@@ -608,6 +716,7 @@ class TestUnusedSeedFlag:
             )
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestAwkwardUserIds:
@@ -709,6 +818,7 @@ class TestRecommendDates:
             ]
         )
         assert code == 2
+        assert not (tmp_path / "o").exists()
 
 
 def fresh_python(code: str, env: dict[str, str] | None = None):

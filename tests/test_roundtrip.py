@@ -201,7 +201,7 @@ def test_track_record_floats_read_back_bit_for_bit(tmp_path_factory, space, data
         "u", np.arange(1, n + 1), values[:, :d], values[:, d : 2 * d], values[:, 2 * d], values[:, -1]
     )
     tracks = tmp_path_factory.mktemp("tracks")
-    gt.track_writer([record], space)(tracks)
+    gt.write_tracks([record], space, tracks)
     (back,) = gt.read_tracks(tracks, space)
     assert back.user_id == "u"
     assert back.steps.tolist() == record.steps.tolist()
@@ -292,7 +292,7 @@ def test_genre_labels_read_back_unchanged(tmp_path_factory, labels):
     assert gt.read_profiles(folder / "profiles.csv", space)["u"].profiles.tolist() == series.profiles.tolist()
 
     records = gt.track_users(gt.build_model(d=len(labels)), [series])
-    gt.track_writer(records, space)(folder / "tracks")
+    gt.write_tracks(records, space, folder / "tracks")
     parts = [f"{part}_{label}" for part in ("pred", "innov") for label in labels]
     assert header_of(folder / "tracks" / "u.csv") == ["step", *parts, "gain_norm", "p_trace"]
     (back,) = gt.read_tracks(folder / "tracks", space)

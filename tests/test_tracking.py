@@ -411,6 +411,21 @@ class TestTrackUsers:
         assert gt.track_users(gt.build_model(d=2), []) == []
 
     @pytest.mark.parametrize(
+        "series, cause",
+        [
+            (gt.ProfileSeries("one", np.array([0.0]), np.ones((1, 2))),
+             "user 'one': tracking needs at least 2 observations, got 1"),
+            (gt.ProfileSeries("wide", np.arange(3.0), np.ones((3, 3))),
+             "user 'wide': series dimension 3 does not match model d=2"),
+        ],
+        ids=["one_observation", "wrong_dimension"],
+    )
+    def test_series_refused_naming_its_user(self, series, cause):
+        good = gt.ProfileSeries("good", np.arange(4.0), np.ones((4, 2)))
+        with pytest.raises(ValueError, match=re.escape(cause) + "$"):
+            gt.track_users(gt.build_model(d=2), [good, series])
+
+    @pytest.mark.parametrize(
         "alpha, p0, step", [(1e100, 10.0, 2), (1.0, 1e308, 1), (1.0, 1e300, 1)]
     )
     def test_overflowing_covariance_named_without_warnings(self, alpha, p0, step):
@@ -542,7 +557,7 @@ class TestTrackRecordIO:
         m = gt.build_model(d=3)
         rec = gt.track_series(m, series)
         space = gt.new_space(["a", "b", "c"])
-        gt.track_writer([rec], space)(tmp_path / "tracks")
+        gt.write_tracks([rec], space, tmp_path / "tracks")
         (back,) = gt.read_tracks(tmp_path / "tracks", space)
         assert back.user_id == "u"
         assert np.array_equal(back.steps, rec.steps)
@@ -591,7 +606,7 @@ class TestTrackRecordIO:
 
 
 class TestTrackFiles:
-    """track_writer names each user's file; read_tracks finds it through the index."""
+    """write_tracks names each user's file; read_tracks finds it through the index."""
 
     @staticmethod
     def write(tmp_path, ids):
@@ -600,7 +615,7 @@ class TestTrackFiles:
             gt.TrackRecord(uid, np.arange(1, 3), np.full((2, 1), i), np.zeros((2, 1)), np.ones(2), np.ones(2))
             for i, uid in enumerate(ids)
         ]
-        gt.track_writer(records, space)(tmp_path)
+        gt.write_tracks(records, space, tmp_path)
         lines = (tmp_path / "index.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "user_id,file"
         files = dict(line.rsplit(",", 1) for line in lines[1:])

@@ -107,9 +107,9 @@ def write_reference_track(path, record, space):
     )
 
 
-def write_tracks(records, space, directory):
-    """Write ``records`` with ``track_writer``; each user's file, as the index names it."""
-    gt.track_writer(records, space)(directory)
+def write_indexed_tracks(records, space, directory):
+    """Write ``records`` with ``write_tracks``; each user's file, as the index names it."""
+    gt.write_tracks(records, space, directory)
     with open(directory / "index.csv", newline="", encoding="utf-8") as fh:
         return {user_id: directory / name for user_id, name in list(csv.reader(fh))[1:]}
 
@@ -117,7 +117,7 @@ def write_tracks(records, space, directory):
 def test_track_record(tmp_path, space, awkward_floats):
     record = awkward_record(awkward_floats, 9)
     write_reference_track(tmp_path / "ref.csv", record, space)
-    files = write_tracks([record], space, tmp_path / "tracks")
+    files = write_indexed_tracks([record], space, tmp_path / "tracks")
     assert files[record.user_id].read_bytes() == (tmp_path / "ref.csv").read_bytes()
     write_csv(tmp_path / "ref_index.csv", ["user_id", "file"], [[record.user_id, "comma_id.csv"]])
     assert (tmp_path / "tracks" / "index.csv").read_bytes() == (tmp_path / "ref_index.csv").read_bytes()
@@ -133,18 +133,19 @@ def test_track_records_stacked_in_blocks(tmp_path, space, awkward_floats, block_
         for i, n in enumerate(steps)
     ]
     with patch.object(ioutil, "_BLOCK_CELLS", block_cells):
-        files = write_tracks(records, space, tmp_path / "tracks")
+        files = write_indexed_tracks(records, space, tmp_path / "tracks")
     assert list(files) == [record.user_id for record in records]
     for record in records:
         write_reference_track(tmp_path / "ref.csv", record, space)
         assert files[record.user_id].read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-def test_track_records_dimension_checked_before_writing(space, awkward_floats):
+def test_track_records_dimension_checked_before_writing(tmp_path, space, awkward_floats):
     good = awkward_record(awkward_floats, 3)
     bad = gt.TrackRecord("v", np.arange(1, 3), np.zeros((2, 3)), np.zeros((2, 3)), np.zeros(2), np.zeros(2))
     with pytest.raises(ValueError, match="record dimension 3 does not match space d=4"):
-        gt.track_writer([good, bad], space)
+        gt.write_tracks([good, bad], space, tmp_path / "out" / "tracks")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -152,10 +153,11 @@ def test_track_records_dimension_checked_before_writing(space, awkward_floats):
     [(2, re.escape("user 'comma,id' has two track records")), (0, "no track records to write")],
     ids=["repeated_user", "no_records"],
 )
-def test_track_writer_refuses_what_read_tracks_would_refuse(space, awkward_floats, n_records, cause):
+def test_write_tracks_refuses_what_read_tracks_would_refuse(tmp_path, space, awkward_floats, n_records, cause):
     # read_tracks refuses an index listing a user twice, or no user.
     with pytest.raises(ValueError, match=cause):
-        gt.track_writer([awkward_record(awkward_floats, 3)] * n_records, space)
+        gt.write_tracks([awkward_record(awkward_floats, 3)] * n_records, space, tmp_path / "out" / "tracks")
+    assert not (tmp_path / "out").exists()
 
 
 def test_final_states(tmp_path, space, awkward_floats):
