@@ -1,8 +1,10 @@
 """Track one simulated user and compare forecasts against observations.
 
 The tracker treats the interest profile as a target moving through genre
-space with position, velocity and acceleration per axis.  Each call consumes
-one daily snapshot and emits the forecast for the next day.
+space with position, velocity and acceleration per axis.  Each step consumes
+one daily snapshot and emits the forecast for the next day.  ``track_series`` is
+the dense reference filter (``genretrack.dense``); ``track_users``, which the CLI
+runs, gives the same record to rounding.
 """
 
 import numpy as np
@@ -35,6 +37,6 @@ print(f"fraction of days below 0.15: {report.fraction_below_threshold:.2f}")
 print(f"smoothness ratio (pred wiggle / obs wiggle): {report.smoothness_ratio:.3f}")
 
 # the final state is the forecast for the day after the last snapshot
-pos = record.final_state.position()
+pos = record.final_x_hat[: cfg.d]
 print("\nforecast for the next, unseen day:", np.round(pos, 4))
 print("last observed profile:             ", np.round(observed.profiles[-1], 4))

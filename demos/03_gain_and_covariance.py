@@ -3,6 +3,7 @@
 The gain maps innovation to state correction.  Iterating the covariance
 recursion from any start converges to a fixed point; the gain that goes
 with it tells you how aggressively the tracker follows new measurements.
+The recursion here is the dense reference filter's (``genretrack.dense``).
 
 Needs SciPy (the ``test`` extra) for the independent Riccati reference.
 """
@@ -33,7 +34,8 @@ for step in range(1, 201):
         break
 
 # cross-check the limit against an independent Riccati solver
-dare = scipy.linalg.solve_discrete_are(model.A.T, model.H.T, model.Q, model.R)
+A, H, Q, R = gt.dense_matrices(model)
+dare = scipy.linalg.solve_discrete_are(A.T, H.T, Q, R)
 print(f"\nmax |P - DARE solution| = {np.max(np.abs(P - dare)):.3e}")
 
 print("\nsteady-state covariance (position, velocity, acceleration):")

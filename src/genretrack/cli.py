@@ -14,20 +14,21 @@ while writing leaves the files written before it.  Each command imports, when it
 only the modules it uses: ``build-profiles`` loads ``space``, ``ioutil`` and
 ``profiles``; ``track`` adds ``tracking``; ``recommend`` adds ``tracking`` and
 ``recommender``; ``evaluate`` adds ``tracking`` and ``evaluation``; only ``simulate``
-loads ``synthetic``.  Only ``tracking`` knows the ``tracks/`` layout: ``write_tracks`` names and writes its files,
-``read_tracks`` reads them.  Every CSV input is read by ``ioutil.read_rows``, except a plain
+loads ``synthetic``; none loads ``dense``, the dense reference filter.  Only ``tracking``
+knows the ``tracks/`` layout: ``write_tracks`` names and writes its files, ``read_tracks``
+reads them.  Every CSV input is read by ``ioutil.read_rows``, except a plain
 event log, which ``profiles.read_events`` cuts with numpy byte operations and hands to
 ``read_rows`` on any fault.  So a faulty row is named by ``path:line`` and its cause, and a
 user id in any table obeys one rule; the instants file is checked line by line the same way,
 and a byte that is not UTF-8 names its ``path:line`` in every input.
 
-Importing this module loads numpy with a one-thread OpenBLAS pool: no command runs
-linear algebra big enough to gain from a second thread, and more threads only cost
-time (``build_model(44)``'s check of ``Q`` takes 24 ms on two threads and under
-1 ms on one, and starting the pool slows ``import numpy`` on a busy host).  A
-thread count the caller set in ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or
-``OMP_NUM_THREADS`` is honoured, nothing changes when numpy is already loaded, and
-``os.environ`` is left as it was.
+Importing this module loads numpy with a one-thread OpenBLAS pool: a command's only linear
+algebra is the tracker's, on 3x3 blocks, and starting the pool costs time on a busy host
+(alternating runs of ``track`` on ``daily-50``, 2 cores, one thread against two: 253.5
+against 257.8 ms idle, faster in 8 of 16 pairs; with one core busy, 232 against 269 ms, 11
+of 14, and ``import numpy`` 119 against 173 ms, 10 of 14).  A thread count the caller set
+in ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is honoured,
+nothing changes when numpy is already loaded, and ``os.environ`` is left as it was.
 
 Most of a command is start-up: ``site`` takes about 30 ms, ``import numpy`` 55-65 ms and
 genretrack's modules 15-30 ms, most of it compiling them where ``PYTHONDONTWRITEBYTECODE``
@@ -378,7 +379,7 @@ def cmd_track(effective: dict) -> None:
     records = track_users(model, series, p0=effective["p0"])
     outdir = Path(effective["out"])
     write_tracks(records, space, outdir / "tracks")  # creates --out after its own checks
-    final_states = {record.user_id: record.final_state for record in records}
+    final_states = {record.user_id: record.final_x_hat for record in records}
     write_final_states(final_states, space, outdir / "final_states.csv")
 
 

@@ -156,10 +156,10 @@ def evaluate(
             )
         if steps.size == 0:
             raise ValueError("cannot evaluate an empty prediction sequence")
-        if int(steps.min()) < 0 or int(steps.max()) >= observations.n_instants:
+        outside = steps[(steps < 0) | (steps >= observations.n_instants)]
+        if outside.size:
             raise ValueError(
-                f"step {int(steps.max())} out of range for a series with "
-                f"{observations.n_instants} instants"
+                f"step {outside[0]} out of range for a series with {observations.n_instants} instants"
             )
 
     ref = observations.profiles[steps]

@@ -1,39 +1,38 @@
 """Constant-acceleration Kalman predictor over the genre space.
 
 A user is modelled as a point moving through the d-dimensional genre space
-with position, velocity and acceleration per axis, stacked into a 3d state
-ordered as [positions | velocities | accelerations].  The transition matrix
-is the kinematic block form
+with position, velocity and acceleration per axis.  Every genre axis follows
+the same model: the kinematic transition block
 
-    A = [[a*I, T*I, T^2/2*I],
-         [0,   a*I, T*I    ],
-         [0,   0,   a*I    ]]
+    A = [[a, T, T^2/2],
+         [0, a, T    ],
+         [0, 0, a    ]]
 
-with d x d identity blocks, scalar diagonal ``a`` (alpha) and inter-sample
-interval ``T``.  Measurements are the positions alone: H = [I | 0 | 0].
+with scalar diagonal ``a`` (alpha) and inter-sample interval ``T``, the 3x3
+process-noise block Q, and the measurement of the position alone, H = [1, 0, 0],
+with noise variance r.  :class:`TrackingModel` holds exactly that.
 
 The filter is the one-step-ahead predictor: consuming observation z_k with
-prediction x_hat = X(k | k-1) and covariance P = P(k | k-1),
+prediction x_hat = X(k | k-1) and covariance P = P(k | k-1), on each axis,
 
-    S = H P H' + R                      innovation covariance
-    K = A P H' S^-1                     predictor gain
+    S = H P H' + r                      innovation variance
+    K = A P H' / S                      predictor gain
     nu = z_k - H x_hat                  innovation
     X(k+1 | k) = A x_hat + K nu
     P(k+1 | k) = A P A' - K (A P H')' + Q    (symmetrized)
 
-The dense filter (:func:`track_series`) solves against numpy's Cholesky
-factor of S; it serves models whose noise couples axes and is the reference
-for the batched engine (:func:`track_users`), where S is diagonal and the
-solve a division.  No explicit matrix inverse is formed anywhere.
-
-The P and K recursion never sees a measurement, so the batched engine computes
-its gain schedule from the model and p0 alone, then makes one data pass.
+The P and K recursion never sees a measurement, and every axis shares it, so
+:func:`track_users` computes one 3x3 gain schedule from the model and p0 alone,
+then makes one data pass over every user and axis.  No array larger than 3x3
+describes the model.  The general dense filter over the stacked 3d state, the
+independent reference this engine is tested against, is :mod:`genretrack.dense`,
+which no command imports.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -45,18 +44,10 @@ from .space import ConceptSpace
 
 __all__ = [
     "TrackingModel",
-    "FilterState",
     "TrackRecord",
     "DivergenceError",
     "SingularInnovationError",
     "build_model",
-    "init_filter",
-    "gain",
-    "predict_step",
-    "covariance_step",
-    "steady_state_covariance",
-    "track_series",
-    "track_series_decoupled",
     "track_users",
     "read_track_record",
     "write_tracks",
@@ -86,62 +77,36 @@ def _transition_block(T: float, alpha: float) -> np.ndarray:
     return np.array([[alpha, T, 0.5 * T * T], [0.0, alpha, T], [0.0, 0.0, alpha]])
 
 
-def _white_accel_block(T: float) -> np.ndarray:
-    # Covariance of (T^2/2, T, 1) * a for unit-variance acceleration noise a.
-    g = np.array([0.5 * T * T, T, 1.0])
-    return np.outer(g, g)
-
-
 @dataclass(frozen=True, eq=False)
 class TrackingModel:
-    """State-space model shared by every filter instance for one parameterization.
-
-    ``A`` and ``H`` are derived from (d, T, alpha) at construction and always
-    have the kinematic block structure above, so they cannot drift out of
-    shape.  ``Q`` must be symmetric PSD, ``R`` symmetric PD.  Immutable.
-    """
+    """The model every genre axis shares: the space dimension ``d``, the interval ``T``,
+    the transition diagonal ``alpha``, the 3x3 process-noise block ``q_block`` (symmetric
+    PSD) and the measurement-noise variance ``r`` (> 0).  Immutable."""
 
     d: int
     T: float
     alpha: float
-    Q: np.ndarray
-    R: np.ndarray
-    A: np.ndarray = field(init=False, repr=False)
-    H: np.ndarray = field(init=False, repr=False)
+    q_block: np.ndarray
+    r: float
 
     def __post_init__(self) -> None:
         if self.d < 1:
             raise ValueError(f"dimension must be >= 1, got {self.d}")
         if not self.T > 0:
             raise ValueError(f"inter-sample interval T must be > 0, got {self.T}")
-        Q = np.asarray(self.Q, dtype=float)
-        R = np.asarray(self.R, dtype=float)
-        n = 3 * self.d
-        if Q.shape != (n, n):
-            raise ValueError(f"Q must be {n}x{n}, got {Q.shape}")
-        if R.shape != (self.d, self.d):
-            raise ValueError(f"R must be {self.d}x{self.d}, got {R.shape}")
+        Q = np.array(self.q_block, dtype=float)  # a read-only copy, as the model is immutable
+        Q.flags.writeable = False
+        if Q.shape != (3, 3):
+            raise ValueError(f"q_block must be 3x3, got {Q.shape}")
         if not np.allclose(Q, Q.T, atol=1e-12):
-            raise ValueError("Q must be symmetric")
-        if not np.allclose(R, R.T, atol=1e-12):
-            raise ValueError("R must be symmetric")
+            raise ValueError("q_block must be symmetric")
         eigenvalues = np.linalg.eigvalsh(Q)
         # Rounding scales with the largest eigenvalue, so the tolerance does too.
         if eigenvalues.min() < -1e-12 * max(1.0, np.abs(eigenvalues).max()):
-            raise ValueError("Q must be positive semidefinite")
-        if np.linalg.eigvalsh(R).min() <= 0.0:
-            raise ValueError("R must be positive definite")
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "R", R)
-        eye = np.eye(self.d)
-        A = np.kron(_transition_block(self.T, self.alpha), eye)
-        H = np.kron(np.array([[1.0, 0.0, 0.0]]), eye)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "H", H)
-
-    @property
-    def state_dim(self) -> int:
-        return 3 * self.d
+            raise ValueError("q_block must be positive semidefinite")
+        if not self.r > 0:
+            raise ValueError(f"measurement-noise variance r must be > 0, got {self.r}")
+        object.__setattr__(self, "q_block", Q)
 
 
 def build_model(
@@ -160,82 +125,27 @@ def build_model(
     T : inter-sample interval; one filter step per profile snapshot.
     alpha : transition diagonal scalar; 1 gives plain kinematics.
     q : process-noise scale, >= 0.
-    r : measurement-noise variance per axis, > 0 (the gain solve needs an
-        invertible innovation covariance).
+    r : measurement-noise variance per axis, > 0 (the gain divides by the
+        innovation variance).
     q_structure : "white_accel" for q times the discrete white-acceleration
         block per axis, or "identity" for plain q*I (ablation variant).
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
     for name, value in (("T", T), ("alpha", alpha), ("q", q), ("r", r)):
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     if q < 0:
         raise ValueError(f"process-noise scale q must be >= 0, got {q}")
-    if not r > 0:
-        raise ValueError(f"measurement-noise variance r must be > 0, got {r}")
-    eye = np.eye(d)
     if q_structure == "white_accel":
+        g = np.array([0.5 * T * T, T, 1.0])  # (T^2/2, T, 1) a for unit-variance acceleration a
         with np.errstate(over="ignore", invalid="ignore"):
-            block = q * _white_accel_block(T)
+            block = q * np.outer(g, g)
         if not np.all(np.isfinite(block)):
             raise ValueError(f"process noise overflows: q={q} and T={T} give a non-finite Q")
-        Q = np.kron(block, eye)
     elif q_structure == "identity":
-        Q = q * np.eye(3 * d)
+        block = q * np.eye(3)
     else:
         raise ValueError(f"unknown q_structure: {q_structure!r}")
-    return TrackingModel(d=d, T=T, alpha=alpha, Q=Q, R=r * eye)
-
-
-@dataclass(frozen=True, eq=False)
-class FilterState:
-    """One-step-ahead prediction X(k | k-1), its covariance, and step bookkeeping.
-
-    ``last_innovation`` and ``last_gain`` describe the observation consumed to
-    produce this state; both are None on a freshly initialized filter.
-    """
-
-    x_hat: np.ndarray
-    P: np.ndarray
-    k: int = 0
-    last_innovation: Optional[np.ndarray] = None
-    last_gain: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        x = np.asarray(self.x_hat, dtype=float)
-        P = np.asarray(self.P, dtype=float)
-        object.__setattr__(self, "x_hat", x)
-        object.__setattr__(self, "P", P)
-        if x.ndim != 1 or x.size % 3 != 0:
-            raise ValueError(f"state vector must be a flat 3d vector, got {x.shape}")
-        n = x.size
-        if P.shape != (n, n):
-            raise ValueError(f"covariance must be {n}x{n}, got {P.shape}")
-        if not np.all(np.isfinite(x)) or not np.all(np.isfinite(P)):
-            raise ValueError("filter state contains non-finite values")
-
-    @property
-    def d(self) -> int:
-        return self.x_hat.size // 3
-
-    def position(self) -> np.ndarray:
-        """The predicted interest vector (position block of the state)."""
-        return self.x_hat[: self.d].copy()
-
-
-def init_filter(model: TrackingModel, z0: np.ndarray, p0: float = DEFAULT_P0) -> FilterState:
-    """Start a filter at the first observation with zero velocity/acceleration."""
-    z0 = np.asarray(z0, dtype=float)
-    if z0.shape != (model.d,):
-        raise ValueError(f"initial observation must have shape ({model.d},), got {z0.shape}")
-    if not np.all(np.isfinite(z0)):
-        raise ValueError("initial observation contains non-finite values")
-    if not p0 > 0:
-        raise ValueError(f"initial covariance scale p0 must be > 0, got {p0}")
-    x0 = np.zeros(3 * model.d)
-    x0[: model.d] = z0
-    return FilterState(x_hat=x0, P=p0 * np.eye(3 * model.d), k=0)
+    return TrackingModel(d=d, T=T, alpha=alpha, q_block=block, r=r)  # checks d, T and r
 
 
 def _check_conditioning(eigenvalues: np.ndarray, step: int | None) -> None:
@@ -262,90 +172,6 @@ def _psd_tolerance(diagonal: np.ndarray) -> float:
     return PSD_TOL * max(1.0, float(np.max(np.abs(diagonal))))
 
 
-def _dense_step(model: TrackingModel, P: np.ndarray, step: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Return (K, P(k+1 | k)) for prediction covariance P, which ``step`` consumes."""
-    AP = model.A @ P
-    APHt = AP @ model.H.T
-    S = model.H @ (P @ model.H.T) + model.R
-    S = 0.5 * (S + S.T)
-    _check_conditioning(np.linalg.eigvalsh(S), step)
-    L = np.linalg.cholesky(S)
-    K = np.linalg.solve(L.T, np.linalg.solve(L, APHt.T)).T
-    P_next = AP @ model.A.T - K @ APHt.T + model.Q
-    return K, 0.5 * (P_next + P_next.T)
-
-
-def gain(model: TrackingModel, P: np.ndarray) -> np.ndarray:
-    """Predictor gain K = A P H' (H P H' + R)^-1 for covariance P.
-
-    The solve runs against the symmetric PD innovation covariance; an
-    eigenvalue-ratio estimate above ``COND_LIMIT`` raises
-    :class:`SingularInnovationError`.
-    """
-    P = np.asarray(P, dtype=float)
-    n = 3 * model.d
-    if P.shape != (n, n):
-        raise ValueError(f"covariance must be {n}x{n}, got {P.shape}")
-    return _dense_step(model, P, None)[0]
-
-
-def predict_step(model: TrackingModel, state: FilterState, z: np.ndarray) -> FilterState:
-    """Consume one observation and advance the predictor by one step.
-
-    Returns the next one-step-ahead state; the consumed innovation and the
-    gain that weighted it are recorded on the returned state.  Raises
-    :class:`DivergenceError` if the updated covariance has an eigenvalue
-    below ``-PSD_TOL`` times its scale (see ``_psd_tolerance``).
-    """
-    if state.d != model.d:
-        raise ValueError(f"state dimension {state.d} does not match model d={model.d}")
-    z = np.asarray(z, dtype=float)
-    if z.shape != (model.d,):
-        raise ValueError(f"observation must have shape ({model.d},), got {z.shape}")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("observation contains non-finite values")
-
-    K, P_next = _dense_step(model, state.P, state.k)
-    innovation = z - model.H @ state.x_hat
-    x_next = model.A @ state.x_hat + K @ innovation
-    # Cholesky of P + tol*I succeeds exactly when min eig > -tol.
-    try:
-        np.linalg.cholesky(P_next + _psd_tolerance(np.diag(P_next)) * np.eye(P_next.shape[0]))
-    except np.linalg.LinAlgError:
-        raise DivergenceError(f"prediction covariance lost PSD at step {state.k + 1}") from None
-    return FilterState(x_next, P_next, state.k + 1, last_innovation=innovation, last_gain=K)
-
-
-def covariance_step(model: TrackingModel, P: np.ndarray) -> np.ndarray:
-    """One iteration of the prediction-covariance (Riccati) recursion.
-
-    Shares the exact arithmetic of :func:`predict_step`, so a fixed point of
-    this map is a fixed point of the filter's covariance trajectory.
-    """
-    return _dense_step(model, np.asarray(P, dtype=float), None)[1]
-
-
-def steady_state_covariance(
-    model: TrackingModel,
-    p0: float = DEFAULT_P0,
-    tol: float = 1e-10,
-    max_iter: int = 1000,
-) -> np.ndarray:
-    """Iterate the covariance recursion from p0*I until ||P_next - P|| < tol.
-
-    Raises :class:`DivergenceError` if it has not settled after ``max_iter``
-    iterations.
-    """
-    P = p0 * np.eye(3 * model.d)
-    for _ in range(max_iter):
-        P_next = covariance_step(model, P)
-        delta = np.linalg.norm(P_next - P)
-        P = P_next
-        if delta < tol:
-            return P
-    raise DivergenceError(f"covariance recursion did not settle within {max_iter} iterations")
-
-
 @dataclass(frozen=True, eq=False)
 class TrackRecord:
     """Per-step tracking log pairing each observation with the prediction made first.
@@ -353,10 +179,11 @@ class TrackRecord:
     Row i describes step k = steps[i]: ``predicted[i]`` is the position block
     of X(k | k-1), i.e. the forecast issued before observation z_k arrived;
     ``innovations[i]`` is z_k minus that forecast; ``gain_norms[i]`` is the
-    Frobenius norm of the gain that consumed z_k; ``p_traces[i]`` is the trace
-    of P(k | k-1).  The trivial step 0, whose forecast is the initial
-    observation itself, is not recorded.  ``final_state`` is the one-step
-    forecast past the last observation (None for records read from disk).
+    Frobenius norm of the 3d x d gain that consumed z_k; ``p_traces[i]`` is the
+    trace of the 3d x 3d P(k | k-1).  The trivial step 0, whose forecast is the
+    initial observation itself, is not recorded.  ``final_x_hat`` is the state
+    vector [positions | velocities | accelerations] of the one-step forecast past
+    the last observation (None for records read from disk).
     """
 
     user_id: str
@@ -365,80 +192,38 @@ class TrackRecord:
     innovations: np.ndarray
     gain_norms: np.ndarray
     p_traces: np.ndarray
-    final_state: Optional[FilterState] = None
+    final_x_hat: Optional[np.ndarray] = None
 
     @property
     def n_steps(self) -> int:
         return int(self.steps.size)
 
 
-def track_series(
-    model: TrackingModel,
-    observations: ProfileSeries,
-    p0: float = DEFAULT_P0,
-) -> TrackRecord:
-    """Run the predictor over a profile series, one filter step per snapshot.
-
-    The filter starts at the first observation; every subsequent snapshot is
-    paired with the prediction made before it was consumed, so the record is
-    honest out-of-sample output.  Needs at least 2 observations.
-    """
-    Z = observations.profiles
-    if observations.d != model.d:
-        raise ValueError(f"series dimension {observations.d} does not match model d={model.d}")
-    n_obs = observations.n_instants
-    if n_obs < 2:
-        raise ValueError(f"tracking needs at least 2 observations, got {n_obs}")
-
-    states = [init_filter(model, Z[0], p0)]
-    for z in Z:
-        states.append(predict_step(model, states[-1], z))
-    # states[k] is X(k | k-1) and states[k + 1] consumed z_k; step 0 is not recorded.
-    before, after = states[1:-1], states[2:]
-    return TrackRecord(
-        user_id=observations.user_id,
-        steps=np.arange(1, n_obs),
-        predicted=np.array([state.position() for state in before]),
-        innovations=np.array([state.last_innovation for state in after]),
-        gain_norms=np.array([np.linalg.norm(state.last_gain) for state in after]),
-        p_traces=np.array([np.trace(state.P) for state in before]),
-        final_state=states[-1],
-    )
-
-
 def _gain_schedule(model: TrackingModel, p0: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis covariances P_0..P_n, (n + 1, d, 3, 3), and gains K_0..K_{n-1}, (n, d, 3),
-    of n steps from p0*I: they depend only on the model and p0.  Raises ValueError for
-    p0 <= 0 or noise that couples axes, and the error of the first step that fails a check."""
+    """Every axis's covariances P_0..P_n, (n + 1, 3, 3), and gains K_0..K_{n-1}, (n, 3), of
+    n steps from p0*I: they depend only on the model and p0.  Raises ValueError for p0 <= 0,
+    and the error of the first step that fails a check."""
     if not p0 > 0:
         raise ValueError(f"initial covariance scale p0 must be > 0, got {p0}")
-    d, idx = model.d, np.arange(model.d)
-    if np.any(model.R != np.diag(np.diag(model.R))):
-        raise ValueError("R couples genre axes; decoupled tracking needs a diagonal R")
-    Q = model.Q.reshape(3, d, 3, d).copy()  # Q[a, i, b, j] is entry (a*d + i, b*d + j)
-    Qb = Q[:, idx, :, idx]  # (d, 3, 3): each axis's own 3x3 block
-    Q[:, idx, :, idx] = 0.0
-    if np.any(Q != 0.0):
-        raise ValueError("Q couples genre axes; decoupled tracking needs per-axis blocks")
     A3 = _transition_block(model.T, model.alpha)
-    P = np.broadcast_to(p0 * np.eye(3), (d, 3, 3)).copy()
+    P = p0 * np.eye(3)
     covariances, gains = [P], []
     for k in range(n):
-        S = P[:, 0, 0] + np.diag(model.R)  # diagonal: its entries are its eigenvalues
+        S = P[0, 0] + model.r
         _check_conditioning(S, k)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
-            AP = A3 @ P                        # (d, 3, 3)
-            cross = AP[:, :, 0]                # A P e1 per axis
-            K = cross / S[:, None]
-            P = AP @ A3.T - cross[:, :, None] * cross[:, None, :] / S[:, None, None] + Qb
-            P = 0.5 * (P + np.transpose(P, (0, 2, 1)))
+            AP = A3 @ P
+            cross = AP[:, 0]  # A P e1
+            K = cross / S
+            P = AP @ A3.T - np.outer(cross, cross) / S + model.q_block
+            P = 0.5 * (P + P.T)
         if not np.all(np.isfinite(P)):
             raise DivergenceError(f"prediction covariance is not finite at step {k + 1}")
-        if np.linalg.eigvalsh(P).min() < -_psd_tolerance(P[:, (0, 1, 2), (0, 1, 2)]):
+        if np.linalg.eigvalsh(P).min() < -_psd_tolerance(np.diag(P)):
             raise DivergenceError(f"prediction covariance lost PSD at step {k + 1}")
         covariances.append(P)
         gains.append(K)
-    return np.stack(covariances), np.reshape(gains, (n, d, 3))
+    return np.stack(covariances), np.reshape(gains, (n, 3))
 
 
 def track_users(
@@ -446,14 +231,13 @@ def track_users(
 ) -> list[TrackRecord]:
     """Track every series at once, one filter per genre axis; records in input order.
 
-    Without cross-axis noise (every :func:`build_model` output) P_k and K_k
-    never see the data: :func:`_gain_schedule` computes them once, for the
-    longest series, and one data pass advances all users together, one
-    (N, d, 3) update per step; a shorter series uses a prefix.  Records match
-    :func:`track_series` to rounding; equal lengths share read-only steps,
-    gain norms, traces and final P and gain.  A fault of the model or p0,
-    such as Q or R coupling axes (``ValueError``), is raised before any
-    series is checked.
+    P_k and K_k never see the data and are the same on every axis:
+    :func:`_gain_schedule` computes them once, for the longest series, and one
+    data pass advances all users together, one (N, d, 3) update per step; a
+    shorter series uses a prefix.  Records match the dense filter
+    (:func:`genretrack.dense.track_series`) to rounding; equal lengths share
+    read-only steps, gain norms and traces.  A fault of the model or p0 is
+    raised before any series is checked.
     """
     lengths = np.array([series.n_instants for series in series_list], dtype=np.intp)
     covariances, gains = _gain_schedule(model, p0, int(lengths.max(initial=0)))
@@ -491,14 +275,14 @@ def track_users(
             innovations[:m, k - 1] = nu
         X[:m] = X[:m] @ A3.T + K * nu[:, :, None]
 
-    # Shared by every series: entry k belongs to step k, and a series of n
-    # observations reads entries 1..n-1 and the dense P and K after step n-1.
+    # Shared by every series: entry k belongs to step k, and a series of n observations
+    # reads entries 1..n-1.  The dense gain and P are block diagonal, d copies of the
+    # axis's; each sum runs over those d copies in the order the dense entries are laid
+    # out, so the digits written are the same as summing the dense matrices' entries.
     steps = np.arange(n_max)
-    gain_norms = np.array([np.sqrt(np.sum(K * K)) for K in gains])
-    p_traces = np.array([P[:, (0, 1, 2), (0, 1, 2)].sum() for P in covariances[:-1]])
-    final_P = {n: _assemble_dense(covariances[n]) for n in set(lengths.tolist())}
-    final_K = {n: _assemble_dense(gains[n - 1][:, :, None]) for n in final_P}
-    for shared in (steps, gain_norms, p_traces, *final_P.values(), *final_K.values()):
+    gain_norms = np.sqrt(np.tile(gains * gains, (1, d)).sum(axis=1))
+    p_traces = np.repeat(covariances[:-1, (0, 1, 2), (0, 1, 2)], d, axis=1).sum(axis=1)
+    for shared in (steps, gain_norms, p_traces):
         shared.flags.writeable = False
     x_final = np.transpose(X, (0, 2, 1)).reshape(n_users, 3 * d)
     records: list[TrackRecord] = [None] * n_users  # type: ignore[list-item]
@@ -510,34 +294,9 @@ def track_users(
             innovations=innovations[row, : n - 1],
             gain_norms=gain_norms[1:n],
             p_traces=p_traces[1:n],
-            final_state=FilterState(
-                x_hat=x_final[row],
-                P=final_P[n],
-                k=n,
-                last_innovation=innovations[row, n - 2],
-                last_gain=final_K[n],
-            ),
+            final_x_hat=x_final[row],
         )
     return records
-
-
-def track_series_decoupled(
-    model: TrackingModel, observations: ProfileSeries, p0: float = DEFAULT_P0
-) -> TrackRecord:
-    """:func:`track_users` on one series: d per-axis filters instead of one dense one.
-
-    Matches :func:`track_series` to rounding whenever Q and R carry no
-    cross-axis coupling (true of every :func:`build_model` output).
-    """
-    return track_users(model, [observations], p0)[0]
-
-
-def _assemble_dense(stack: np.ndarray) -> np.ndarray:
-    """The dense (a*d, b*d) matrix whose (i, j) block is diag(stack[:, i, j])."""
-    d, rows, cols = stack.shape
-    dense = np.zeros((rows, d, cols, d))
-    dense[:, np.arange(d), :, np.arange(d)] = stack
-    return dense.reshape(rows * d, cols * d)
 
 
 # ---------------------------------------------------------------------------
@@ -589,14 +348,14 @@ def _final_state_header(space: ConceptSpace) -> list[str]:
 
 
 def write_final_states(
-    states: dict[str, FilterState], space: ConceptSpace, path: str | Path
+    states: dict[str, np.ndarray], space: ConceptSpace, path: str | Path
 ) -> None:
-    """One row per user: the final predicted state vector, [pos | vel | acc]."""
-    for user_id, state in sorted(states.items()):
-        if state.d != space.d:
-            raise ValueError(f"state for {user_id!r} has d={state.d}, space has d={space.d}")
+    """One row per user: its final predicted state vector, [pos | vel | acc]."""
+    for user_id, x_hat in sorted(states.items()):
+        if np.shape(x_hat) != (3 * space.d,):
+            raise ValueError(f"state for {user_id!r} has shape {np.shape(x_hat)}, space has d={space.d}")
     users = sorted(map(_check_user_id, states))
-    x_hats = np.reshape([states[user_id].x_hat for user_id in users], (-1, 3 * space.d))
+    x_hats = np.reshape([states[user_id] for user_id in users], (-1, 3 * space.d))
     columns = [(csv_cells(users), np.arange(len(users))), x_hats]
     write_table(path, _final_state_header(space), columns)
 
@@ -618,7 +377,21 @@ def read_final_states(path: str | Path, space: ConceptSpace) -> dict[str, np.nda
 
 
 def read_track_record(path: str | Path, space: ConceptSpace, user_id: str = "") -> TrackRecord:
-    _, data = read_table(path, _track_header(space), "track record")
+    """The record of one track file.  A step that is not a whole number above the previous
+    row's (above 0 on the first row) and below 2**63 is refused naming its ``path:line``."""
+    last = [0]
+
+    def rising(row: list[str]) -> None:
+        step = float(row[0])
+        if not (step.is_integer() and last[0] < step < 2**63):
+            raise ValueError(f"step {row[0]!r} is not a whole number in [{last[0] + 1}, 2**63)")
+        last[0] = int(step)
+
+    def valid(_, table: np.ndarray) -> bool:
+        steps = table[:, 0]
+        return bool(np.all((np.diff(steps, prepend=0.0) > 0) & (steps % 1 == 0) & (steps < 2**63)))
+
+    _, data = read_table(path, _track_header(space), "track record", valid=valid, check_row=rising)
     if not len(data):
         raise ValueError(f"track record {path} has no steps")
     d = space.d
@@ -629,7 +402,6 @@ def read_track_record(path: str | Path, space: ConceptSpace, user_id: str = "") 
         innovations=data[:, 1 + d : 1 + 2 * d],
         gain_norms=data[:, 1 + 2 * d],
         p_traces=data[:, 2 + 2 * d],
-        final_state=None,
     )
 
 

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import genretrack as gt
+from genretrack import tracking
 from genretrack.cli import main as cli_main
-from genretrack.tracking import FilterState
+from genretrack.dense import FilterState, dense_matrices
 from properties import (
     check_cosine_properties,
     check_covariance_properties,
@@ -45,15 +46,20 @@ def test_criterion_1_decoupled_matches_dense():
         )
         model = gt.build_model(d=d, q=1e-3, r=1e-2)
         dense = gt.track_series(model, series)
-        fast = gt.track_series_decoupled(model, series)
+        (fast,) = gt.track_users(model, [series])
+        # The oracle's final P, and the schedule's P_K assembled as d diagonal copies.
+        dense_P = 10.0 * np.eye(3 * d)
+        for _ in range(K):
+            dense_P = gt.covariance_step(model, dense_P)
+        fast_P = np.kron(tracking._gain_schedule(model, 10.0, K)[0][K], np.eye(d))
         worst = max(
             worst,
             float(np.max(np.abs(dense.predicted - fast.predicted))),
             float(np.max(np.abs(dense.innovations - fast.innovations))),
             float(np.max(np.abs(dense.gain_norms - fast.gain_norms))),
             float(np.max(np.abs(dense.p_traces - fast.p_traces))),
-            float(np.max(np.abs(dense.final_state.x_hat - fast.final_state.x_hat))),
-            float(np.max(np.abs(dense.final_state.P - fast.final_state.P))),
+            float(np.max(np.abs(dense.final_x_hat - fast.final_x_hat))),
+            float(np.max(np.abs(dense_P - fast_P))),
         )
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed < 5.0
@@ -132,13 +138,14 @@ def test_criterion_4_noise_free_innovations_vanish():
     # the filter state is the forecast for the observation it consumes next
     model1 = gt.build_model(d=1, q=1e-3, r=1e-2)
     x0 = np.array([0.3, 0.02, -0.001])
+    A, H, _, _ = dense_matrices(model1)
     state = FilterState(x_hat=x0.copy(), P=10.0 * np.eye(3))
     x_true = x0.copy()
     for _ in range(30):
-        z = model1.H @ x_true
+        z = H @ x_true
         state = gt.predict_step(model1, state, z)
         worst = max(worst, float(np.max(np.abs(state.last_innovation))))
-        x_true = model1.A @ x_true
+        x_true = A @ x_true
 
     ok = worst < 1e-8
     _report(
@@ -177,7 +184,7 @@ def test_criterion_6_predictions_smoother_than_observations():
     data = gt.generate_scenario(cfg)
     model = gt.build_model(d=44, q=1e-7, r=1e-2)
     observed = data.observed()
-    records = [gt.track_series_decoupled(model, observed[uid]) for uid in sorted(observed)]
+    records = gt.track_users(model, [observed[uid] for uid in sorted(observed)])
     pooled = gt.evaluate_many(records, observed, tau=0.15)
     fraction = pooled.fraction_smoothness_le_1
     ok = fraction >= 0.95

@@ -496,6 +496,29 @@ class TestErrors:
         assert capsys.readouterr().err == f"genretrack evaluate: error: {index}:4: {cause}\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "step, cause",
+        [("1.5", "step '1.5' is not a whole number in [2, 2**63)"),
+         ("-1", "step '-1' is not a whole number in [2, 2**63)")],
+        ids=["fraction", "negative"],
+    )
+    def test_faulty_track_step_names_its_line(self, pipeline, tmp_path, capsys, step, cause):
+        # Steps are read as whole numbers: 1.5 was once read as a second step 1.
+        tracks = tmp_path / "tracks"
+        shutil.copytree(pipeline["tracked"] / "tracks", tracks)
+        track = tracks / "u0000.csv"
+        lines = track.read_text(encoding="utf-8").splitlines(True)
+        lines[2] = step + lines[2][lines[2].index(","):]
+        track.write_text("".join(lines), encoding="utf-8")
+        code = run([
+            "evaluate", "--vocabulary", str(pipeline["sim"] / "vocabulary.txt"),
+            "--profiles", str(pipeline["built"] / "built_profiles.csv"),
+            "--tracks", str(tracks), "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"genretrack evaluate: error: {track}:3: {cause}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_final_state_listed_twice_names_its_line(self, pipeline, tmp_path, capsys):
         lines = (pipeline["tracked"] / "final_states.csv").read_text(encoding="utf-8").splitlines(True)
         states = tmp_path / "final_states.csv"
@@ -698,7 +721,7 @@ class TestTrackMatchesLibrary:
             np.testing.assert_allclose(a.innovations, b.innovations, atol=1e-9, rtol=0.0)
             np.testing.assert_allclose(a.gain_norms, b.gain_norms, atol=1e-9, rtol=0.0)
             np.testing.assert_allclose(a.p_traces, b.p_traces, atol=1e-9, rtol=0.0)
-            np.testing.assert_allclose(a.final_state.x_hat, states[uid], atol=1e-9, rtol=0.0)
+            np.testing.assert_allclose(a.final_x_hat, states[uid], atol=1e-9, rtol=0.0)
 
 
 class TestUnusedSeedFlag:
@@ -898,7 +921,7 @@ class TestLazyLoading:
             "--out", str(tmp_path / "o"),
         ])
         assert "genretrack.recommender" in loaded
-        assert not {"genretrack.synthetic", "genretrack.evaluation"} & set(loaded)
+        assert not {"genretrack.synthetic", "genretrack.evaluation", "genretrack.dense"} & set(loaded)
 
     def test_recommend_loads_no_numpy_ma(self, pipeline, tmp_path):
         sim, built, tracked = pipeline["sim"], pipeline["built"], pipeline["tracked"]
@@ -922,7 +945,18 @@ class TestLazyLoading:
             "--out", str(tmp_path / "o"),
         ])
         assert "genretrack.evaluation" in loaded
-        assert not {"genretrack.recommender", "genretrack.synthetic"} & set(loaded)
+        assert not {"genretrack.recommender", "genretrack.synthetic", "genretrack.dense"} & set(loaded)
+
+    def test_track_loads_tracking_but_not_the_dense_oracle(self, pipeline, tmp_path):
+        sim, built = pipeline["sim"], pipeline["built"]
+        loaded = command_modules([
+            "track", "--vocabulary", str(sim / "vocabulary.txt"),
+            "--profiles", str(built / "built_profiles.csv"), "--out", str(tmp_path / "o"),
+        ])
+        assert loaded == [
+            "genretrack", "genretrack.cli", "genretrack.ioutil", "genretrack.profiles",
+            "genretrack.space", "genretrack.tracking",
+        ]
 
 
 class TestExitCodes:

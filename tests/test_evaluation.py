@@ -65,6 +65,11 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             gt.evaluate(obs, obs.profiles[[1]], steps=np.array([4]))
 
+    def test_out_of_range_step_is_the_one_named(self):
+        obs = make_series(np.random.default_rng(4), K=6)
+        with pytest.raises(ValueError, match=r"^step -1 out of range for a series with 6 instants$"):
+            gt.evaluate(obs, obs.profiles[[1, 2, 5]], steps=np.array([1, -1, 5]))
+
     def test_bad_tau(self):
         rng = np.random.default_rng(5)
         obs = make_series(rng)

@@ -70,15 +70,13 @@ def test_profiles(tmp_path_factory, space, ids):
 @given(ID_LISTS)
 def test_final_states(tmp_path_factory, space, ids):
     n = 3 * space.d
-    states = {
-        user_id: gt.FilterState(np.arange(n) + i / 7, np.eye(n)) for i, user_id in enumerate(ids)
-    }
+    states = {user_id: np.arange(n) + i / 7 for i, user_id in enumerate(ids)}
     path = tmp_path_factory.mktemp("states") / "final_states.csv"
     gt.write_final_states(states, space, path)
     back = gt.read_final_states(path, space)
     assert sorted(back) == sorted(ids)
     for user_id, x_hat in back.items():
-        assert np.array_equal(x_hat, states[user_id].x_hat)
+        assert np.array_equal(x_hat, states[user_id])
 
 
 @settings(max_examples=15, deadline=None)
@@ -137,7 +135,7 @@ WRITERS = {
         series_of(["u", user_id]), space, path
     ),
     "write_final_states": lambda space, user_id, path: gt.write_final_states(
-        {uid: gt.FilterState(np.zeros(3 * space.d), np.eye(3 * space.d)) for uid in ("u", user_id)},
+        {uid: np.zeros(3 * space.d) for uid in ("u", user_id)},
         space,
         path,
     ),
@@ -231,13 +229,13 @@ def test_profile_floats_read_back_bit_for_bit(tmp_path_factory, space, data):
 @given(st.data())
 def test_final_state_floats_read_back_bit_for_bit(tmp_path_factory, space, data):
     n = 3 * space.d
-    states = {user_id: gt.FilterState(float_array(data, n), np.eye(n)) for user_id in ("a", "b", "c")}
+    states = {user_id: float_array(data, n) for user_id in ("a", "b", "c")}
     path = tmp_path_factory.mktemp("states") / "final_states.csv"
     gt.write_final_states(states, space, path)
     back = gt.read_final_states(path, space)
     assert sorted(back) == ["a", "b", "c"]
     for user_id, x_hat in back.items():
-        assert same_bits(x_hat, states[user_id].x_hat)
+        assert same_bits(x_hat, states[user_id])
 
 
 # Labels a vocabulary can hold: quotes, backslashes, commas, "=" and non-ASCII text.
@@ -298,10 +296,10 @@ def test_genre_labels_read_back_unchanged(tmp_path_factory, labels):
     (back,) = gt.read_tracks(folder / "tracks", space)
     assert back.predicted.tolist() == records[0].predicted.tolist()
 
-    gt.write_final_states({"u": records[0].final_state}, space, folder / "final_states.csv")
+    gt.write_final_states({"u": records[0].final_x_hat}, space, folder / "final_states.csv")
     parts = [f"{part}_{label}" for part in ("pos", "vel", "acc") for label in labels]
     assert header_of(folder / "final_states.csv") == ["user_id", *parts]
-    assert gt.read_final_states(folder / "final_states.csv", space)["u"].tolist() == records[0].final_state.x_hat.tolist()
+    assert gt.read_final_states(folder / "final_states.csv", space)["u"].tolist() == records[0].final_x_hat.tolist()
 
     rec = gt.Recommendation("u", tuple(labels[:1]), tuple(labels[1:3]), tuple(labels[3:]), "2010-03-04")
     gt.write_recommendations([rec], folder / "recommendations.jsonl")

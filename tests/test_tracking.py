@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import genretrack as gt
 from genretrack import tracking
-from genretrack.tracking import FilterState
+from genretrack.dense import FilterState, dense_matrices
 from properties import check_covariance_properties, run_many
 
 
@@ -29,56 +29,57 @@ class TestBuildModel:
     def test_huge_q_is_positive_semidefinite(self):
         # eigvalsh rounds at the 1e300 scale of Q; the check scales with it
         model = gt.build_model(d=3, q=1e300)
-        assert np.all(np.isfinite(model.Q))
+        assert np.all(np.isfinite(model.q_block))
 
     def test_indefinite_q_still_rejected_at_any_scale(self):
-        m = gt.build_model(d=1)
         for scale in (1.0, 1e300):
             Q = scale * np.diag([1.0, 1.0, -1e-6])
-            with pytest.raises(ValueError, match="Q must be positive semidefinite"):
-                gt.TrackingModel(d=1, T=1.0, alpha=1.0, Q=Q, R=m.R)
+            with pytest.raises(ValueError, match="q_block must be positive semidefinite"):
+                gt.TrackingModel(d=1, T=1.0, alpha=1.0, q_block=Q, r=1e-2)
 
     def test_single_axis_matrices(self):
-        m = gt.build_model(d=1, T=1.0, alpha=1.0, q=0.0, r=1.0)
-        assert np.array_equal(m.A, transition_1d())
-        assert np.array_equal(m.H, np.array([[1.0, 0.0, 0.0]]))
-        assert m.state_dim == 3
+        A, H, _, _ = dense_matrices(gt.build_model(d=1, T=1.0, alpha=1.0, q=0.0, r=1.0))
+        assert np.array_equal(A, transition_1d())
+        assert np.array_equal(H, np.array([[1.0, 0.0, 0.0]]))
 
     def test_two_axis_block_structure(self):
-        m = gt.build_model(d=2, T=1.0, alpha=1.0, q=0.0, r=1.0)
-        assert m.A.shape == (6, 6)
-        assert np.array_equal(m.A, np.kron(transition_1d(), np.eye(2)))
-        assert m.H.shape == (2, 6)
-        assert np.array_equal(m.H, np.kron(np.array([[1.0, 0.0, 0.0]]), np.eye(2)))
+        A, H, _, _ = dense_matrices(gt.build_model(d=2, T=1.0, alpha=1.0, q=0.0, r=1.0))
+        assert A.shape == (6, 6)
+        assert np.array_equal(A, np.kron(transition_1d(), np.eye(2)))
+        assert H.shape == (2, 6)
+        assert np.array_equal(H, np.kron(np.array([[1.0, 0.0, 0.0]]), np.eye(2)))
 
     def test_wide_space_shapes(self):
-        m = gt.build_model(d=44)
-        assert m.H.shape == (44, 132)
-        assert m.A.shape == (132, 132)
+        A, H, Q, R = dense_matrices(gt.build_model(d=44))
+        assert H.shape == (44, 132)
+        assert A.shape == Q.shape == (132, 132)
+        assert R.shape == (44, 44)
 
     def test_alpha_scales_diagonal(self):
-        m = gt.build_model(d=1, alpha=0.9)
-        assert np.array_equal(m.A, transition_1d(alpha=0.9))
+        A, _, _, _ = dense_matrices(gt.build_model(d=1, alpha=0.9))
+        assert np.array_equal(A, transition_1d(alpha=0.9))
 
     def test_white_accel_noise_block(self):
         for T in (1.0, 2.0):
             m = gt.build_model(d=1, T=T, q=0.25)
             g = np.array([T * T / 2.0, T, 1.0])
-            assert np.allclose(m.Q, 0.25 * np.outer(g, g), atol=1e-15)
+            assert np.allclose(m.q_block, 0.25 * np.outer(g, g), atol=1e-15)
 
     def test_white_accel_kron_layout(self):
         m = gt.build_model(d=3, T=1.0, q=0.5)
         g = np.array([0.5, 1.0, 1.0])
         expected = 0.5 * np.kron(np.outer(g, g), np.eye(3))
-        assert np.allclose(m.Q, expected, atol=1e-15)
+        assert np.allclose(dense_matrices(m)[2], expected, atol=1e-15)
 
     def test_identity_noise_structure(self):
         m = gt.build_model(d=2, q=0.1, q_structure="identity")
-        assert np.array_equal(m.Q, 0.1 * np.eye(6))
+        assert np.array_equal(m.q_block, 0.1 * np.eye(3))
+        assert np.array_equal(dense_matrices(m)[2], 0.1 * np.eye(6))
 
     def test_measurement_noise(self):
         m = gt.build_model(d=3, r=0.04)
-        assert np.array_equal(m.R, 0.04 * np.eye(3))
+        assert m.r == 0.04
+        assert np.array_equal(dense_matrices(m)[3], 0.04 * np.eye(3))
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -182,10 +183,11 @@ class TestPredictStep:
         m = gt.build_model(d=2, q=1e-3, r=1e-2)
         rng = np.random.default_rng(3)
         x = rng.random(6)
+        A, H, _, _ = dense_matrices(m)
         s = FilterState(x_hat=x, P=np.eye(6) * 2.0)
-        z = m.H @ x
+        z = H @ x
         out = gt.predict_step(m, s, z)
-        assert np.array_equal(out.x_hat, m.A @ x)
+        assert np.array_equal(out.x_hat, A @ x)
         assert np.array_equal(out.last_innovation, np.zeros(2))
 
     def test_zero_state_zero_noise_stays_zero(self):
@@ -233,13 +235,15 @@ class TestSteadyState:
     def test_matches_independent_dare_solver(self):
         m = gt.build_model(d=1, T=1.0, alpha=1.0, q=0.01, r=1.0)
         P = gt.steady_state_covariance(m, p0=10.0, tol=1e-13, max_iter=5000)
-        dare = scipy.linalg.solve_discrete_are(m.A.T, m.H.T, m.Q, m.R)
+        A, H, Q, R = dense_matrices(m)
+        dare = scipy.linalg.solve_discrete_are(A.T, H.T, Q, R)
         assert np.allclose(P, dare, rtol=1e-7, atol=1e-9)
 
     def test_multi_axis_steady_state(self):
         m = gt.build_model(d=3, q=0.01, r=1.0)
         P = gt.steady_state_covariance(m, p0=10.0)
-        dare = scipy.linalg.solve_discrete_are(m.A.T, m.H.T, m.Q, m.R)
+        A, H, Q, R = dense_matrices(m)
+        dare = scipy.linalg.solve_discrete_are(A.T, H.T, Q, R)
         assert np.allclose(P, dare, rtol=1e-6, atol=1e-8)
 
     def test_unsettled_recursion_raises_divergence(self):
@@ -297,18 +301,30 @@ class TestTrackSeries:
         series = self.make_series(rng, d=2, K=8)
         m = gt.build_model(d=2)
         rec = gt.track_series(m, series)
-        assert rec.final_state.k == 8
-        assert rec.final_state.position().shape == (2,)
+        state = gt.init_filter(m, series.profiles[0])
+        for z in series.profiles:
+            state = gt.predict_step(m, state, z)
+        assert state.k == 8
+        assert rec.final_x_hat.shape == (6,)
+        assert np.array_equal(rec.final_x_hat, state.x_hat)
 
 
-def assert_records_close(a, b, atol):
-    assert np.array_equal(a.steps, b.steps)
-    np.testing.assert_allclose(a.predicted, b.predicted, atol=atol, rtol=0.0)
-    np.testing.assert_allclose(a.innovations, b.innovations, atol=atol, rtol=0.0)
-    np.testing.assert_allclose(a.gain_norms, b.gain_norms, atol=atol, rtol=0.0)
-    np.testing.assert_allclose(a.p_traces, b.p_traces, atol=atol, rtol=0.0)
-    np.testing.assert_allclose(a.final_state.x_hat, b.final_state.x_hat, atol=atol, rtol=0.0)
-    np.testing.assert_allclose(a.final_state.P, b.final_state.P, atol=atol, rtol=0.0)
+def assert_records_close(model, dense, fast, atol, p0=tracking.DEFAULT_P0):
+    """``fast`` (from the per-axis schedule) matches the dense oracle's ``dense``, and so do
+    their final covariances: the oracle's P after the last observation against the
+    schedule's P_n, assembled here as d diagonal copies."""
+    assert np.array_equal(dense.steps, fast.steps)
+    np.testing.assert_allclose(dense.predicted, fast.predicted, atol=atol, rtol=0.0)
+    np.testing.assert_allclose(dense.innovations, fast.innovations, atol=atol, rtol=0.0)
+    np.testing.assert_allclose(dense.gain_norms, fast.gain_norms, atol=atol, rtol=0.0)
+    np.testing.assert_allclose(dense.p_traces, fast.p_traces, atol=atol, rtol=0.0)
+    np.testing.assert_allclose(dense.final_x_hat, fast.final_x_hat, atol=atol, rtol=0.0)
+    n = dense.n_steps + 1
+    P = p0 * np.eye(3 * model.d)
+    for _ in range(n):
+        P = gt.covariance_step(model, P)
+    schedule_P = np.kron(tracking._gain_schedule(model, p0, n)[0][n], np.eye(model.d))
+    np.testing.assert_allclose(P, schedule_P, atol=atol, rtol=0.0)
 
 
 class TestDecoupledEquivalence:
@@ -319,47 +335,20 @@ class TestDecoupledEquivalence:
         series = gt.ProfileSeries("u", instants, profiles)
         m = gt.build_model(d=5, q=1e-3, r=1e-2)
         dense = gt.track_series(m, series)
-        fast = gt.track_series_decoupled(m, series)
-        assert_records_close(dense, fast, atol=1e-9)
+        (fast,) = gt.track_users(m, [series])
+        assert_records_close(m, dense, fast, atol=1e-9)
 
     def test_single_axis(self):
         rng = np.random.default_rng(6)
         series = gt.ProfileSeries("u", np.arange(10, dtype=float), rng.random((10, 1)))
         m = gt.build_model(d=1, q=1e-4, r=1e-3)
-        assert_records_close(
-            gt.track_series(m, series), gt.track_series_decoupled(m, series), atol=1e-9
-        )
-
-    def test_coupled_measurement_noise_rejected(self):
-        m = gt.build_model(d=2, q=1e-3, r=1e-2)
-        R = m.R.copy()
-        R[0, 1] = R[1, 0] = 1e-3
-        coupled = gt.TrackingModel(d=2, T=1.0, alpha=1.0, Q=m.Q, R=R)
-        series = gt.ProfileSeries("u", np.arange(3, dtype=float), np.ones((3, 2)))
-        with pytest.raises(ValueError):
-            gt.track_series_decoupled(coupled, series)
-
-    def test_cross_axis_process_noise_rejected(self):
-        m = gt.build_model(d=2, q=1e-3, r=1e-2)
-        # PSD cross-axis coupling: all axes share one noise source
-        g = np.array([0.5, 1.0, 1.0])
-        Q = m.Q + 1e-4 * np.kron(np.outer(g, g), np.ones((2, 2)))
-        coupled = gt.TrackingModel(d=2, T=1.0, alpha=1.0, Q=Q, R=m.R)
-        series = gt.ProfileSeries("u", np.arange(3, dtype=float), np.ones((3, 2)))
-        with pytest.raises(ValueError):
-            gt.track_series_decoupled(coupled, series)
+        assert_records_close(m, gt.track_series(m, series), gt.track_users(m, [series])[0], atol=1e-9)
 
 
 class TestTrackUsers:
-    def per_axis_model(self):
-        # Different process and measurement noise on each of the three axes.
-        g = np.array([0.5, 1.0, 1.0])
-        Q = np.kron(np.outer(g, g), np.diag([1e-3, 4e-2, 2e-4]))
-        return gt.TrackingModel(d=3, T=1.0, alpha=0.95, Q=Q, R=np.diag([1e-2, 3e-1, 5e-3]))
-
     def test_matches_dense_on_mixed_lengths(self):
         rng = np.random.default_rng(12)
-        model = self.per_axis_model()
+        model = gt.build_model(3, alpha=0.95, q=4e-2, r=3e-1)
         # Late starters: series end together but begin on different days.
         series = [
             gt.ProfileSeries(f"u{i}", np.arange(20 - K, 20, dtype=float), rng.random((K, 3)))
@@ -368,44 +357,28 @@ class TestTrackUsers:
         records = gt.track_users(model, series)
         assert [r.user_id for r in records] == [s.user_id for s in series]
         for record, one in zip(records, series):
-            assert_records_close(gt.track_series(model, one), record, atol=1e-9)
-        # Equal lengths share one dense final covariance.
-        assert records[1].final_state.P is records[4].final_state.P
+            assert_records_close(model, gt.track_series(model, one), record, atol=1e-9)
+        # Every record reads one read-only schedule.
+        assert np.shares_memory(records[1].p_traces, records[5].p_traces)
+        assert not records[1].gain_norms.flags.writeable
 
-    def test_coupled_process_noise_rejected(self):
-        m = gt.build_model(d=2, q=1e-3, r=1e-2)
-        g = np.array([0.5, 1.0, 1.0])
-        Q = m.Q + 1e-4 * np.kron(np.outer(g, g), np.ones((2, 2)))
-        coupled = gt.TrackingModel(d=2, T=1.0, alpha=1.0, Q=Q, R=m.R)
-        series = gt.ProfileSeries("u", np.arange(3, dtype=float), np.ones((3, 2)))
-        with pytest.raises(ValueError, match="Q couples genre axes"):
-            gt.track_users(coupled, [series])
-
-    @pytest.mark.parametrize("name", ["white_accel", "identity", "alpha", "per_axis"])
+    @pytest.mark.parametrize("name", ["white_accel", "identity", "alpha", "identity_alpha"])
     def test_schedule_matches_dense_recursion_at_every_step(self, name):
         model = {
             "white_accel": lambda: gt.build_model(4),
             "identity": lambda: gt.build_model(4, q_structure="identity"),
             "alpha": lambda: gt.build_model(4, alpha=0.9, q=1e-2, r=0.5),
-            "per_axis": self.per_axis_model,
+            "identity_alpha": lambda: gt.build_model(3, alpha=0.95, q=4e-2, r=3e-1, q_structure="identity"),
         }[name]()
-        p0, n = 10.0, 30
+        p0, n, eye = 10.0, 30, np.eye(model.d)
         covariances, gains = tracking._gain_schedule(model, p0, n)
-        assert covariances.shape == (n + 1, model.d, 3, 3) and gains.shape == (n, model.d, 3)
+        assert covariances.shape == (n + 1, 3, 3) and gains.shape == (n, 3)
         P = p0 * np.eye(3 * model.d)
         for k in range(n):
-            K = tracking._assemble_dense(gains[k][:, :, None])
-            np.testing.assert_allclose(tracking._assemble_dense(covariances[k]), P, atol=1e-9, rtol=0)
-            np.testing.assert_allclose(K, gt.gain(model, P), atol=1e-9, rtol=0)
+            np.testing.assert_allclose(np.kron(covariances[k], eye), P, atol=1e-9, rtol=0)
+            np.testing.assert_allclose(np.kron(gains[k][:, None], eye), gt.gain(model, P), atol=1e-9, rtol=0)
             P = gt.covariance_step(model, P)
-        np.testing.assert_allclose(tracking._assemble_dense(covariances[n]), P, atol=1e-9, rtol=0)
-
-    def test_ill_conditioned_innovation_rejected(self):
-        m = gt.build_model(d=2)
-        wide = gt.TrackingModel(d=2, T=1.0, alpha=1.0, Q=m.Q, R=np.diag([1e-3, 1e14]))
-        series = gt.ProfileSeries("u", np.arange(3, dtype=float), np.ones((3, 2)))
-        with pytest.raises(gt.SingularInnovationError):
-            gt.track_users(wide, [series])
+        np.testing.assert_allclose(np.kron(covariances[n], eye), P, atol=1e-9, rtol=0)
 
     def test_no_series(self):
         assert gt.track_users(gt.build_model(d=2), []) == []
@@ -454,7 +427,7 @@ class TestTrackUsers:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             record = gt.track_users(model, [series])[0] if engine == "track_users" else gt.track_series(model, series)
-        assert np.all(np.isfinite(record.predicted)) and np.all(np.isfinite(record.final_state.P))
+        assert np.all(np.isfinite(record.predicted)) and np.all(np.isfinite(record.final_x_hat))
 
     def test_psd_tolerance_scales_with_the_covariance(self):
         assert tracking._psd_tolerance(np.array([0.5, -0.25])) == tracking.PSD_TOL
@@ -501,7 +474,9 @@ class TestBlasThreadLimit:
     """The filters leave the process-wide BLAS thread count as they found it."""
 
     @pytest.mark.parametrize(
-        "track", [gt.track_series, gt.track_series_decoupled], ids=["track_series", "track_series_decoupled"]
+        "track",
+        [gt.track_series, lambda model, series: gt.track_users(model, [series])],
+        ids=["track_series", "track_users"],
     )
     def test_counts_restored_after_error(self, two_blas_threads, track):
         series = gt.ProfileSeries("u", np.arange(6.0), np.random.default_rng(10).random((6, 4)))
@@ -573,13 +548,13 @@ class TestTrackRecordIO:
         states = {}
         for uid in ("u1", "u2"):
             series = gt.ProfileSeries(uid, np.arange(5, dtype=float), rng.random((5, 2)))
-            states[uid] = gt.track_series(m, series).final_state
+            states[uid] = gt.track_series(m, series).final_x_hat
         path = tmp_path / "final.csv"
         gt.write_final_states(states, space, path)
         back = gt.read_final_states(path, space)
         assert set(back) == {"u1", "u2"}
         for uid in states:
-            assert np.array_equal(back[uid], states[uid].x_hat)
+            assert np.array_equal(back[uid], states[uid])
 
     def test_duplicate_user_rejected(self, tmp_path):
         space = gt.new_space(["a"])
@@ -602,6 +577,26 @@ class TestTrackRecordIO:
         header = ",".join(tracking._track_header(space))
         path.write_text(f"{header}\n1,0.5,0.1,0.2,0.3\n2,0.5,oops,0.2,0.3\n", encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: could not convert string to float: 'oops'")):
+            gt.read_track_record(path, space)
+
+    @pytest.mark.parametrize(
+        "steps, line, cause",
+        [
+            (["1", "1.5", "2"], 3, "step '1.5' is not a whole number in [2, 2**63)"),
+            (["1", "2", "2"], 4, "step '2' is not a whole number in [3, 2**63)"),
+            (["1", "-1", "3"], 3, "step '-1' is not a whole number in [2, 2**63)"),
+            (["0", "1", "2"], 2, "step '0' is not a whole number in [1, 2**63)"),
+            (["1", "nan", "3"], 3, "step 'nan' is not a whole number in [2, 2**63)"),
+            (["1", "1e300", "1e301"], 3, "step '1e300' is not a whole number in [2, 2**63)"),
+        ],
+        ids=["fraction", "repeated", "negative", "zero", "nan", "past_int64"],
+    )
+    def test_step_that_is_not_a_whole_number_above_the_last_names_its_line(self, tmp_path, steps, line, cause):
+        space = gt.new_space(["a"])
+        path = tmp_path / "track.csv"
+        header = ",".join(tracking._track_header(space))
+        path.write_text(header + "\n" + "".join(f"{s},0.5,0.1,0.2,0.3\n" for s in steps), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: {cause}") + "$"):
             gt.read_track_record(path, space)
 
 

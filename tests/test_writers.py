@@ -161,14 +161,11 @@ def test_write_tracks_refuses_what_read_tracks_would_refuse(tmp_path, space, awk
 
 
 def test_final_states(tmp_path, space, awkward_floats):
-    states = {
-        uid: gt.FilterState(x_hat=awkward_floats[12 * i : 12 * (i + 1)], P=np.eye(12))
-        for i, uid in enumerate(IDS)
-    }
+    states = {uid: awkward_floats[12 * i : 12 * (i + 1)] for i, uid in enumerate(IDS)}
     write_csv(
         tmp_path / "ref.csv",
         tracking._final_state_header(space),
-        [[uid] + [fmt(x) for x in states[uid].x_hat] for uid in sorted(states)],
+        [[uid] + [fmt(x) for x in states[uid]] for uid in sorted(states)],
     )
     gt.write_final_states(states, space, tmp_path / "new.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
