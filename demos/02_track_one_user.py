@@ -17,8 +17,8 @@ data = gt.generate_scenario(cfg)
 user = data.users[0]
 observed = user.observed
 
-model = gt.build_model(d=cfg.d, q=1e-4, r=1e-3)
-record = gt.track_series(model, observed, p0=10.0)
+model = gt.build_model(d=cfg.d, q=1e-4, r=1e-3, p0=10.0)
+record = gt.track_series(model, observed)
 
 print(f"user {user.user_id}: {observed.n_instants} snapshots, d={cfg.d}")
 print(f"{record.n_steps} one-step-ahead predictions\n")

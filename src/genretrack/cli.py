@@ -373,10 +373,11 @@ def cmd_track(effective: dict) -> None:
         alpha=effective["alpha"],
         q=effective["q"],
         r=effective["r"],
+        p0=effective["p0"],
         q_structure=effective["q_structure"],
     )
     series = [series_by_user[user_id] for user_id in sorted(series_by_user)]
-    records = track_users(model, series, p0=effective["p0"])
+    records = track_users(model, series)
     outdir = Path(effective["out"])
     write_tracks(records, space, outdir / "tracks")  # creates --out after its own checks
     final_states = {record.user_id: record.final_x_hat for record in records}
@@ -463,8 +464,8 @@ def main(argv: list[str] | None = None) -> int:
         _write_manifest(Path(effective["out"]), command, effective, sources)
     except Exception as exc:
         input_errors: tuple = (CliError, ValueError, KeyError, OSError)
-        # Under track_users a filter that diverges depends only on the model and p0, which are
-        # inputs.  Only a command that loaded tracking can raise its errors.
+        # Under track_users a filter that diverges depends only on the model, an input.  Only
+        # a command that loaded tracking can raise its errors.
         tracking = sys.modules.get("genretrack.tracking")
         if tracking:
             input_errors += (tracking.DivergenceError, tracking.SingularInnovationError)

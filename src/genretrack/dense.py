@@ -2,11 +2,11 @@
 
 The state is ordered [positions | velocities | accelerations], so the dense matrices of a
 :class:`~genretrack.tracking.TrackingModel` spread its 3x3 blocks over d x d identities:
-A = kron(A3, I), H = [I | 0 | 0], Q = kron(q_block, I) and R = r I.  The predictor
-equations of :mod:`genretrack.tracking` run on them, solved against numpy's Cholesky
-factor of the innovation covariance.  This shares no arithmetic with the per-axis gain
-schedule of :func:`~genretrack.tracking.track_users`, which is tested against it.  No
-command imports this module.
+A = kron(A3, I), H = [I | 0 | 0], Q = kron(q_block, I), R = r I and P_0 = p0 I.  The
+predictor equations of :mod:`genretrack.tracking` run on them, solved against numpy's
+Cholesky factor of the innovation covariance.  This shares no arithmetic with the
+per-axis gain schedule of :func:`~genretrack.tracking.track_users`, which is tested
+against it.  No command imports this module.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 
 from .profiles import ProfileSeries
 from .tracking import (
-    DEFAULT_P0,
     DivergenceError,
     TrackingModel,
     TrackRecord,
@@ -88,18 +87,16 @@ class FilterState:
         return self.x_hat[: self.d].copy()
 
 
-def init_filter(model: TrackingModel, z0: np.ndarray, p0: float = DEFAULT_P0) -> FilterState:
-    """Start a filter at the first observation with zero velocity/acceleration."""
+def init_filter(model: TrackingModel, z0: np.ndarray) -> FilterState:
+    """Start a filter at the first observation with zero velocity/acceleration, P = p0 I."""
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (model.d,):
         raise ValueError(f"initial observation must have shape ({model.d},), got {z0.shape}")
     if not np.all(np.isfinite(z0)):
         raise ValueError("initial observation contains non-finite values")
-    if not p0 > 0:
-        raise ValueError(f"initial covariance scale p0 must be > 0, got {p0}")
     x0 = np.zeros(3 * model.d)
     x0[: model.d] = z0
-    return FilterState(x_hat=x0, P=p0 * np.eye(3 * model.d), k=0)
+    return FilterState(x_hat=x0, P=model.p0 * np.eye(3 * model.d), k=0)
 
 
 def _dense_step(model: TrackingModel, P: np.ndarray, step: int | None) -> tuple[np.ndarray, np.ndarray]:
@@ -168,17 +165,14 @@ def covariance_step(model: TrackingModel, P: np.ndarray) -> np.ndarray:
 
 
 def steady_state_covariance(
-    model: TrackingModel,
-    p0: float = DEFAULT_P0,
-    tol: float = 1e-10,
-    max_iter: int = 1000,
+    model: TrackingModel, tol: float = 1e-10, max_iter: int = 1000
 ) -> np.ndarray:
     """Iterate the covariance recursion from p0*I until ||P_next - P|| < tol.
 
     Raises :class:`~genretrack.tracking.DivergenceError` if it has not settled
     after ``max_iter`` iterations.
     """
-    P = p0 * np.eye(3 * model.d)
+    P = model.p0 * np.eye(3 * model.d)
     for _ in range(max_iter):
         P_next = covariance_step(model, P)
         delta = np.linalg.norm(P_next - P)
@@ -188,11 +182,7 @@ def steady_state_covariance(
     raise DivergenceError(f"covariance recursion did not settle within {max_iter} iterations")
 
 
-def track_series(
-    model: TrackingModel,
-    observations: ProfileSeries,
-    p0: float = DEFAULT_P0,
-) -> TrackRecord:
+def track_series(model: TrackingModel, observations: ProfileSeries) -> TrackRecord:
     """Run the predictor over a profile series, one filter step per snapshot.
 
     The filter starts at the first observation; every subsequent snapshot is
@@ -206,7 +196,7 @@ def track_series(
     if n_obs < 2:
         raise ValueError(f"tracking needs at least 2 observations, got {n_obs}")
 
-    states = [init_filter(model, Z[0], p0)]
+    states = [init_filter(model, Z[0])]
     for z in Z:
         states.append(predict_step(model, states[-1], z))
     # states[k] is X(k | k-1) and states[k + 1] consumed z_k; step 0 is not recorded.

@@ -130,9 +130,9 @@ def evaluate(
 
     By default predictions are taken as aligned one-to-one with observation
     instants 1..K-1 (the out-of-sample pairing the tracker produces); pass
-    ``steps`` to override the alignment.  With fewer than two steps the
-    smoothness ratio is 0 (no variation to compare); a zero observation-diff
-    variance gives 0 when the prediction is also flat, else ``inf``.
+    ``steps``, whole numbers, to override the alignment.  With fewer than two
+    steps the smoothness ratio is 0 (no variation to compare); a zero
+    observation-diff variance gives 0 when the prediction is also flat, else ``inf``.
     """
     if not tau > 0:
         raise ValueError(f"threshold tau must be > 0, got {tau}")
@@ -149,18 +149,22 @@ def evaluate(
             )
         steps = np.arange(1, observations.n_instants)
     else:
-        steps = np.asarray(steps, dtype=int)
+        steps = np.asarray(steps)
         if steps.shape != (pred.shape[0],):
             raise ValueError(
                 f"steps shape {steps.shape} does not match {pred.shape[0]} predictions"
             )
         if steps.size == 0:
             raise ValueError("cannot evaluate an empty prediction sequence")
+        whole = np.isfinite(steps) & (np.trunc(steps) == steps)
+        if not whole.all():
+            raise ValueError(f"step {steps[~whole][0]} is not a whole number")
         outside = steps[(steps < 0) | (steps >= observations.n_instants)]
         if outside.size:
             raise ValueError(
-                f"step {outside[0]} out of range for a series with {observations.n_instants} instants"
+                f"step {int(outside[0])} out of range for a series with {observations.n_instants} instants"
             )
+        steps = steps.astype(int, copy=False)
 
     ref = observations.profiles[steps]
     pred_norms = np.linalg.norm(pred, axis=1)

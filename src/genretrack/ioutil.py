@@ -279,10 +279,11 @@ def read_table(
 ) -> tuple[list[str], np.ndarray]:
     """A CSV table's rows: (labels, values), the first column's exact text if ``labeled``.
 
-    Read by :func:`read_rows`; the floats are those ``float()`` gives.  Labels are user
-    ids, each distinct one checked once.  If ``valid(labels, values)`` is false, the fault
-    pass runs ``check_row`` on each row whose cells parse, in file order, and names the
-    ``path:line`` of the first it raises on.
+    Read by :func:`read_rows`; the floats are those ``float()`` gives, and must be finite.
+    Labels are user ids, each distinct one checked once.  If ``valid(labels, values)`` is
+    false or a value is not finite, the fault pass runs ``check_row`` on each row whose
+    cells parse, in file order, then checks its cells are finite, and names the
+    ``path:line`` of the first row that fails (``<column> must be finite, got <cell>``).
     """
     n = len(header) - labeled
     dtype = np.dtype([("label", object)] * labeled + [("values", float, (n,))])
@@ -290,9 +291,11 @@ def read_table(
     def check_cells(row: list[str]) -> None:
         if labeled:
             _check_user_id(row[0])
-        for cell in row[labeled:]:
-            _parse_float(cell)
+        values = [_parse_float(cell) for cell in row[labeled:]]
         check_row(row)
+        for name, cell, value in zip(header[labeled:], row[labeled:], values):
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {cell.strip()}")
 
     labels: list[str] = []
     values = [np.empty((0, n))]
@@ -302,7 +305,7 @@ def read_table(
             values.append(chunk["values"])
         for label in dict.fromkeys(labels):
             _check_user_id(label)
-        if not valid(labels, table := np.concatenate(values)):
+        if not (valid(labels, table := np.concatenate(values)) and np.isfinite(table).all()):
             raise ValueError(f"a row of {what} {path} is refused")  # _first_fault words it
     return labels, table
 

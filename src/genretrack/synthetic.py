@@ -88,10 +88,11 @@ class ScenarioConfig:
             raise ValueError(f"n_users must be >= 1, got {self.n_users}")
         if self.regime not in REGIMES:
             raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
-        if self.q_true < 0:
-            raise ValueError(f"q_true must be >= 0, got {self.q_true}")
-        if self.r_true < 0:
-            raise ValueError(f"r_true must be >= 0, got {self.r_true}")
+        for name in ("q_true", "r_true"):
+            if (value := getattr(self, name)) < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

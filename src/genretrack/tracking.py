@@ -9,8 +9,9 @@ the same model: the kinematic transition block
          [0, 0, a    ]]
 
 with scalar diagonal ``a`` (alpha) and inter-sample interval ``T``, the 3x3
-process-noise block Q, and the measurement of the position alone, H = [1, 0, 0],
-with noise variance r.  :class:`TrackingModel` holds exactly that.
+process-noise block Q, q times a fixed structure, and the measurement of the position
+alone, H = [1, 0, 0], with noise variance r; every filter starts from P = p0 I.
+:class:`TrackingModel` holds exactly those scalars.
 
 The filter is the one-step-ahead predictor: consuming observation z_k with
 prediction x_hat = X(k | k-1) and covariance P = P(k | k-1), on each axis,
@@ -22,7 +23,7 @@ prediction x_hat = X(k | k-1) and covariance P = P(k | k-1), on each axis,
     P(k+1 | k) = A P A' - K (A P H')' + Q    (symmetrized)
 
 The P and K recursion never sees a measurement, and every axis shares it, so
-:func:`track_users` computes one 3x3 gain schedule from the model and p0 alone,
+:func:`track_users` computes one 3x3 gain schedule from the model alone,
 then makes one data pass over every user and axis.  No array larger than 3x3
 describes the model.  The general dense filter over the stacked 3d state, the
 independent reference this engine is tested against, is :mod:`genretrack.dense`,
@@ -32,7 +33,7 @@ which no command imports.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -62,8 +63,6 @@ COND_LIMIT = 1e12
 # the covariance's scale (see _psd_tolerance).
 PSD_TOL = 1e-9
 
-DEFAULT_P0 = 10.0
-
 
 class DivergenceError(RuntimeError):
     """The prediction covariance lost positive semidefiniteness or failed to settle."""
@@ -79,34 +78,48 @@ def _transition_block(T: float, alpha: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TrackingModel:
-    """The model every genre axis shares: the space dimension ``d``, the interval ``T``,
-    the transition diagonal ``alpha``, the 3x3 process-noise block ``q_block`` (symmetric
-    PSD) and the measurement-noise variance ``r`` (> 0).  Immutable."""
+    """The model every genre axis shares, and each filter's start, made by
+    :func:`build_model`, which describes each field.  The constructor checks every value
+    and derives the read-only 3x3 process-noise block ``q_block``.  Immutable."""
 
     d: int
     T: float
     alpha: float
-    q_block: np.ndarray
+    q: float
     r: float
+    p0: float
+    q_structure: str
+    q_block: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        T, q = self.T, self.q
+        for name in ("T", "alpha", "q", "r"):
+            if not np.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if q < 0:
+            raise ValueError(f"process-noise scale q must be >= 0, got {q}")
+        if self.q_structure == "white_accel":
+            g = np.array([0.5 * T * T, T, 1.0])  # (T^2/2, T, 1) a for unit-variance acceleration a
+            with np.errstate(over="ignore", invalid="ignore"):
+                block = q * np.outer(g, g)
+            if not np.all(np.isfinite(block)):
+                raise ValueError(f"process noise overflows: q={q} and T={T} give a non-finite Q")
+        elif self.q_structure == "identity":
+            block = q * np.eye(3)
+        else:
+            raise ValueError(f"unknown q_structure: {self.q_structure!r}")
         if self.d < 1:
             raise ValueError(f"dimension must be >= 1, got {self.d}")
-        if not self.T > 0:
-            raise ValueError(f"inter-sample interval T must be > 0, got {self.T}")
-        Q = np.array(self.q_block, dtype=float)  # a read-only copy, as the model is immutable
-        Q.flags.writeable = False
-        if Q.shape != (3, 3):
-            raise ValueError(f"q_block must be 3x3, got {Q.shape}")
-        if not np.allclose(Q, Q.T, atol=1e-12):
-            raise ValueError("q_block must be symmetric")
-        eigenvalues = np.linalg.eigvalsh(Q)
-        # Rounding scales with the largest eigenvalue, so the tolerance does too.
-        if eigenvalues.min() < -1e-12 * max(1.0, np.abs(eigenvalues).max()):
-            raise ValueError("q_block must be positive semidefinite")
+        if not T > 0:
+            raise ValueError(f"inter-sample interval T must be > 0, got {T}")
         if not self.r > 0:
             raise ValueError(f"measurement-noise variance r must be > 0, got {self.r}")
-        object.__setattr__(self, "q_block", Q)
+        if not self.p0 > 0:
+            raise ValueError(f"initial covariance scale p0 must be > 0, got {self.p0}")
+        if not np.isfinite(self.p0):
+            raise ValueError(f"p0 must be finite, got {self.p0}")
+        block.flags.writeable = False
+        object.__setattr__(self, "q_block", block)
 
 
 def build_model(
@@ -115,37 +128,24 @@ def build_model(
     alpha: float = 1.0,
     q: float = 1e-3,
     r: float = 1e-2,
+    p0: float = 10.0,
     q_structure: str = "white_accel",
 ) -> TrackingModel:
-    """Assemble the tracking model for a d-dimensional genre space.
+    """The tracking model for a d-dimensional genre space; every value must be finite.
 
     Parameters
     ----------
     d : space dimension (number of genre axes).
-    T : inter-sample interval; one filter step per profile snapshot.
+    T : inter-sample interval, > 0; one filter step per profile snapshot.
     alpha : transition diagonal scalar; 1 gives plain kinematics.
     q : process-noise scale, >= 0.
     r : measurement-noise variance per axis, > 0 (the gain divides by the
         innovation variance).
+    p0 : initial covariance scale, > 0: every filter starts from p0 * I.
     q_structure : "white_accel" for q times the discrete white-acceleration
         block per axis, or "identity" for plain q*I (ablation variant).
     """
-    for name, value in (("T", T), ("alpha", alpha), ("q", q), ("r", r)):
-        if not np.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if q < 0:
-        raise ValueError(f"process-noise scale q must be >= 0, got {q}")
-    if q_structure == "white_accel":
-        g = np.array([0.5 * T * T, T, 1.0])  # (T^2/2, T, 1) a for unit-variance acceleration a
-        with np.errstate(over="ignore", invalid="ignore"):
-            block = q * np.outer(g, g)
-        if not np.all(np.isfinite(block)):
-            raise ValueError(f"process noise overflows: q={q} and T={T} give a non-finite Q")
-    elif q_structure == "identity":
-        block = q * np.eye(3)
-    else:
-        raise ValueError(f"unknown q_structure: {q_structure!r}")
-    return TrackingModel(d=d, T=T, alpha=alpha, q_block=block, r=r)  # checks d, T and r
+    return TrackingModel(d, T, alpha, q, r, p0, q_structure)
 
 
 def _check_conditioning(eigenvalues: np.ndarray, step: int | None) -> None:
@@ -199,14 +199,12 @@ class TrackRecord:
         return int(self.steps.size)
 
 
-def _gain_schedule(model: TrackingModel, p0: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _gain_schedule(model: TrackingModel, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Every axis's covariances P_0..P_n, (n + 1, 3, 3), and gains K_0..K_{n-1}, (n, 3), of
-    n steps from p0*I: they depend only on the model and p0.  Raises ValueError for p0 <= 0,
-    and the error of the first step that fails a check."""
-    if not p0 > 0:
-        raise ValueError(f"initial covariance scale p0 must be > 0, got {p0}")
+    n steps from p0*I: they depend only on the model.  Raises the error of the first step
+    that fails a check."""
     A3 = _transition_block(model.T, model.alpha)
-    P = p0 * np.eye(3)
+    P = model.p0 * np.eye(3)
     covariances, gains = [P], []
     for k in range(n):
         S = P[0, 0] + model.r
@@ -226,9 +224,7 @@ def _gain_schedule(model: TrackingModel, p0: float, n: int) -> tuple[np.ndarray,
     return np.stack(covariances), np.reshape(gains, (n, 3))
 
 
-def track_users(
-    model: TrackingModel, series_list: Sequence[ProfileSeries], p0: float = DEFAULT_P0
-) -> list[TrackRecord]:
+def track_users(model: TrackingModel, series_list: Sequence[ProfileSeries]) -> list[TrackRecord]:
     """Track every series at once, one filter per genre axis; records in input order.
 
     P_k and K_k never see the data and are the same on every axis:
@@ -236,11 +232,11 @@ def track_users(
     data pass advances all users together, one (N, d, 3) update per step; a
     shorter series uses a prefix.  Records match the dense filter
     (:func:`genretrack.dense.track_series`) to rounding; equal lengths share
-    read-only steps, gain norms and traces.  A fault of the model or p0 is
-    raised before any series is checked.
+    read-only steps, gain norms and traces.  A step of the schedule that fails a
+    check is raised before any series is checked.
     """
     lengths = np.array([series.n_instants for series in series_list], dtype=np.intp)
-    covariances, gains = _gain_schedule(model, p0, int(lengths.max(initial=0)))
+    covariances, gains = _gain_schedule(model, int(lengths.max(initial=0)))
     d = model.d
     for series in series_list:
         uid, n_obs = series.user_id, series.n_instants

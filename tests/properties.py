@@ -52,8 +52,9 @@ def check_covariance_properties(rng: np.random.Generator) -> None:
     n_steps = int(rng.integers(3, 9))
     q = float(10.0 ** rng.uniform(-6, -1))
     r = float(10.0 ** rng.uniform(-4, 0))
-    model = gt.build_model(d=d, q=q, r=r)
-    state = gt.init_filter(model, rng.random(d), p0=float(rng.uniform(0.5, 20.0)))
+    z0 = rng.random(d)
+    model = gt.build_model(d=d, q=q, r=r, p0=float(rng.uniform(0.5, 20.0)))
+    state = gt.init_filter(model, z0)
     for _ in range(n_steps):
         z = rng.random(d) * 2.0
         state = gt.predict_step(model, state, z)

@@ -51,7 +51,7 @@ def test_criterion_1_decoupled_matches_dense():
         dense_P = 10.0 * np.eye(3 * d)
         for _ in range(K):
             dense_P = gt.covariance_step(model, dense_P)
-        fast_P = np.kron(tracking._gain_schedule(model, 10.0, K)[0][K], np.eye(d))
+        fast_P = np.kron(tracking._gain_schedule(model, K)[0][K], np.eye(d))
         worst = max(
             worst,
             float(np.max(np.abs(dense.predicted - fast.predicted))),
@@ -107,7 +107,7 @@ def test_criterion_2_predict_step_hand_example():
 def test_criterion_3_covariance_recursion_converges():
     model = gt.build_model(d=1, T=1.0, alpha=1.0, q=0.01, r=1.0)
     try:
-        P = gt.steady_state_covariance(model, p0=10.0, tol=1e-10, max_iter=500)
+        P = gt.steady_state_covariance(model, tol=1e-10, max_iter=500)
         converged = True
     except gt.DivergenceError:
         converged = False

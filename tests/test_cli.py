@@ -255,8 +255,9 @@ class TestErrors:
                 "innovation covariance ill-conditioned",
             ),
             (["--alpha", "nan"], "alpha must be finite, got nan"),
+            (["--p0", "inf"], "p0 must be finite, got inf"),
         ],
-        ids=["divergence", "singular_innovation", "non_finite_alpha"],
+        ids=["divergence", "singular_innovation", "non_finite_alpha", "non_finite_p0"],
     )
     def test_model_that_fails_the_filter_is_an_input_error(
         self, pipeline, tmp_path, capsys, flags, cause
@@ -422,7 +423,7 @@ class TestErrors:
         profiles_csv.write_text("user_id,instant,a\nu,1,0.5\nu,nan,0.5\n", encoding="utf-8")
         code = run(["track", "--vocabulary", str(vocab), "--profiles", str(profiles_csv), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "genretrack track: error: instants for 'u' must be finite, got nan" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"genretrack track: error: {profiles_csv}:3: instant must be finite, got nan\n"
         assert not (tmp_path / "o").exists()
 
     def test_evaluate_without_index(self, tmp_path, capsys):
@@ -499,8 +500,9 @@ class TestErrors:
     @pytest.mark.parametrize(
         "step, cause",
         [("1.5", "step '1.5' is not a whole number in [2, 2**63)"),
-         ("-1", "step '-1' is not a whole number in [2, 2**63)")],
-        ids=["fraction", "negative"],
+         ("-1", "step '-1' is not a whole number in [2, 2**63)"),
+         ("nan", "step 'nan' is not a whole number in [2, 2**63)")],
+        ids=["fraction", "negative", "nan"],
     )
     def test_faulty_track_step_names_its_line(self, pipeline, tmp_path, capsys, step, cause):
         # Steps are read as whole numbers: 1.5 was once read as a second step 1.
@@ -545,6 +547,47 @@ class TestErrors:
         first, second = (line.split(",")[1] for line in lines[1:3])
         cause = f"instants for 'u0000' must be strictly increasing, got {first} after {second}"
         assert capsys.readouterr().err == f"genretrack track: error: {profiles_csv}:4: {cause}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["q_true", "r_true"])
+    def test_non_finite_simulation_noise_named(self, tmp_path, capsys, name, value):
+        # nan and inf once failed later as "profiles for 'u0000' contain non-finite values"
+        flag = "--" + name.replace("_", "-") + "=" + value  # argparse reads a lone -inf as a flag
+        code = run(["simulate", "--d", "3", "--k", "4", "--users", "2", flag, "--out", str(tmp_path / "o")])
+        assert code == 2
+        cause = f"{name} must be >= 0, got -inf" if value == "-inf" else f"{name} must be finite, got {value}"
+        assert capsys.readouterr().err == f"genretrack simulate: error: {cause}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command, table, column, cell",
+        [("track", "built_profiles.csv", 2, "nan"),
+         ("recommend", "final_states.csv", 1, "inf"),
+         ("evaluate", "tracks/u0001.csv", 1, "nan")],
+    )
+    def test_non_finite_cell_names_its_line(self, pipeline, tmp_path, capsys, command, table, column, cell):
+        # Each once named no file or line: "profiles for 'u0000' contain non-finite values",
+        # "interest vectors contain non-finite values", "predictions contain non-finite values".
+        built, tracked = tmp_path / "built_profiles.csv", tmp_path / "tracked"
+        shutil.copy(pipeline["built"] / "built_profiles.csv", built)
+        shutil.copytree(pipeline["tracked"], tracked)
+        path = built if command == "track" else tracked / table
+        lines = path.read_text(encoding="utf-8").splitlines(True)
+        header, row = lines[0].rstrip("\n").split(","), lines[2].split(",")
+        row[column] = cell
+        lines[2] = ",".join(row)
+        path.write_text("".join(lines), encoding="utf-8")
+        vocabulary = ["--vocabulary", str(pipeline["sim"] / "vocabulary.txt")]
+        code = run([command, *vocabulary, *{
+            "track": ["--profiles", str(built)],
+            "recommend": ["--final-states", str(path), "--profiles", str(built),
+                          "--events", str(pipeline["sim"] / "events.csv")],
+            "evaluate": ["--profiles", str(built), "--tracks", str(tracked / "tracks")],
+        }[command], "--out", str(tmp_path / "o")])
+        assert code == 2
+        cause = f"{header[column]} must be finite, got {cell}"
+        assert capsys.readouterr().err == f"genretrack {command}: error: {path}:3: {cause}\n"
         assert not (tmp_path / "o").exists()
 
 

@@ -70,6 +70,19 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=r"^step -1 out of range for a series with 6 instants$"):
             gt.evaluate(obs, obs.profiles[[1, 2, 5]], steps=np.array([1, -1, 5]))
 
+    @pytest.mark.parametrize("steps, named", [([1.5, 2.0], "1.5"), ([1.0, np.nan], "nan"), ([np.inf, 2.5], "inf")])
+    def test_step_that_is_not_a_whole_number_is_named(self, steps, named):
+        # 1.5 was once truncated to step 1
+        obs = make_series(np.random.default_rng(4), K=6)
+        with pytest.raises(ValueError, match=rf"^step {named} is not a whole number$"):
+            gt.evaluate(obs, obs.profiles[[1, 2]], steps=np.array(steps))
+
+    def test_whole_float_steps_are_read_as_steps(self):
+        obs = make_series(np.random.default_rng(3), K=6)
+        report = gt.evaluate(obs, obs.profiles[[2, 4]], steps=np.array([2.0, 4.0]))
+        assert report.n_steps == 2
+        assert np.allclose(report.per_step_cosine, 0.0, atol=1e-12)
+
     def test_bad_tau(self):
         rng = np.random.default_rng(5)
         obs = make_series(rng)

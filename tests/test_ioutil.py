@@ -316,15 +316,33 @@ class TestReadTable:
         labels, values = read_table(path, ["user_id", "a", "b"], "table", labeled=True)
         assert labels == ["u"] and values.tolist() == [[1, 2]]
 
-    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=30))
-    @example([5e-324, -0.0, 1e308, math.inf, -math.inf, 1e-330, 0.1])
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=30))
+    @example([5e-324, -0.0, 1e308, 1e-330, 0.1])
     def test_floats_are_those_float_gives(self, tmp_path_factory, xs):
+        # Infinities are refused (test_non_finite_cell_names_its_line).
         cells = [f(x) for x in xs for f in (repr, fmt, "{:.5e}".format, "{:.3f}".format)]
         path = tmp_path_factory.mktemp("floats") / "t.csv"
         path.write_text("a\n" + "\n".join(cells) + "\n", encoding="utf-8")
         _, values = read_table(path, ["a"], "table")
         expected = np.array([float(c) for c in cells])
         assert values[:, 0].view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", " NaN ", "-Infinity"])
+    def test_non_finite_cell_names_its_line(self, tmp_path, cell):
+        path = table_file(tmp_path, f"u,1,2\nv,3,{cell}\nw,4,inf\n")
+        cause = f"b must be finite, got {cell.strip()}"
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: {cause}") + "$"):
+            read_table(path, ["user_id", "a", "b"], "table", labeled=True)
+
+    def test_row_rule_is_checked_before_finiteness(self, tmp_path):
+        def whole(row):
+            if not float(row[1]).is_integer():
+                raise ValueError(f"a {row[1]!r} is not a whole number")
+
+        path = table_file(tmp_path, "u,1,2\nv,nan,3\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: a 'nan' is not a whole number") + "$"):
+            read_table(path, ["user_id", "a", "b"], "table", labeled=True,
+                       valid=lambda labels, values: False, check_row=whole)
 
 
 class TestReadTableChunks:

@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 import re
 import warnings
 from pathlib import Path
@@ -30,12 +31,6 @@ class TestBuildModel:
         # eigvalsh rounds at the 1e300 scale of Q; the check scales with it
         model = gt.build_model(d=3, q=1e300)
         assert np.all(np.isfinite(model.q_block))
-
-    def test_indefinite_q_still_rejected_at_any_scale(self):
-        for scale in (1.0, 1e300):
-            Q = scale * np.diag([1.0, 1.0, -1e-6])
-            with pytest.raises(ValueError, match="q_block must be positive semidefinite"):
-                gt.TrackingModel(d=1, T=1.0, alpha=1.0, q_block=Q, r=1e-2)
 
     def test_single_axis_matrices(self):
         A, H, _, _ = dense_matrices(gt.build_model(d=1, T=1.0, alpha=1.0, q=0.0, r=1.0))
@@ -99,6 +94,35 @@ class TestBuildModel:
         with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
             gt.build_model(d=2, **{name: value})
 
+    @pytest.mark.parametrize("name, value", [("alpha", np.nan), ("T", np.inf)])
+    def test_model_checks_its_own_values(self, name, value):
+        values = dict(d=2, T=1.0, alpha=1.0, q=0.0, r=1.0, p0=1.0, q_structure="white_accel")
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            gt.TrackingModel(**{**values, name: value})
+
+    @pytest.mark.parametrize(
+        "kwargs, cause",
+        [
+            (dict(p0=np.inf), "p0 must be finite, got inf"),
+            (dict(p0=np.nan), "initial covariance scale p0 must be > 0, got nan"),
+            (dict(p0=-np.inf), "initial covariance scale p0 must be > 0, got -inf"),
+            (dict(p0=np.inf, r=0.0), "measurement-noise variance r must be > 0, got 0.0"),
+        ],
+    )
+    def test_p0_checked_last(self, kwargs, cause):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(cause) + "$"):
+                gt.build_model(d=2, **kwargs)
+
+    def test_fields_and_derived_read_only_block(self):
+        m = gt.build_model(d=2, T=2.0, alpha=0.9, q=0.5, r=0.1, p0=3.0, q_structure="identity")
+        assert [f.name for f in dataclasses.fields(m) if f.init] == [
+            "d", "T", "alpha", "q", "r", "p0", "q_structure"
+        ]
+        assert (m.d, m.T, m.alpha, m.q, m.r, m.p0, m.q_structure) == (2, 2.0, 0.9, 0.5, 0.1, 3.0, "identity")
+        assert not m.q_block.flags.writeable
+
     def test_overflowing_process_noise_named(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -108,16 +132,15 @@ class TestBuildModel:
 
 class TestInitFilter:
     def test_positions_seeded_rest_zero(self):
-        m = gt.build_model(d=2)
-        s = gt.init_filter(m, np.array([1.0, 2.0]), p0=10.0)
+        m = gt.build_model(d=2, p0=10.0)
+        s = gt.init_filter(m, np.array([1.0, 2.0]))
         assert s.x_hat.tolist() == [1.0, 2.0, 0.0, 0.0, 0.0, 0.0]
         assert np.array_equal(s.P, 10.0 * np.eye(6))
         assert s.k == 0
 
     def test_p0_must_be_positive(self):
-        m = gt.build_model(d=1)
         with pytest.raises(ValueError):
-            gt.init_filter(m, np.array([1.0]), p0=0.0)
+            gt.build_model(d=1, p0=0.0)
 
     def test_dimension_mismatch(self):
         m = gt.build_model(d=2)
@@ -191,8 +214,8 @@ class TestPredictStep:
         assert np.array_equal(out.last_innovation, np.zeros(2))
 
     def test_zero_state_zero_noise_stays_zero(self):
-        m = gt.build_model(d=1, q=0.0, r=1.0)
-        s = gt.init_filter(m, np.zeros(1), p0=1.0)
+        m = gt.build_model(d=1, q=0.0, r=1.0, p0=1.0)
+        s = gt.init_filter(m, np.zeros(1))
         for _ in range(5):
             s = gt.predict_step(m, s, np.zeros(1))
         assert np.array_equal(s.x_hat, np.zeros(3))
@@ -205,8 +228,8 @@ class TestPredictStep:
         assert np.array_equal(out.P, gt.covariance_step(m, P))
 
     def test_symmetry_enforced(self):
-        m = gt.build_model(d=1, q=1e-3, r=1e-2)
-        s = gt.init_filter(m, np.array([0.3]), p0=5.0)
+        m = gt.build_model(d=1, q=1e-3, r=1e-2, p0=5.0)
+        s = gt.init_filter(m, np.array([0.3]))
         for z in (0.4, 0.1, 0.9):
             s = gt.predict_step(m, s, np.array([z]))
             assert np.array_equal(s.P, s.P.T)
@@ -229,19 +252,19 @@ class TestPredictStep:
 class TestSteadyState:
     def test_riccati_converges_and_satisfies_recursion(self):
         m = gt.build_model(d=1, T=1.0, alpha=1.0, q=0.01, r=1.0)
-        P = gt.steady_state_covariance(m, p0=10.0, tol=1e-10, max_iter=500)
+        P = gt.steady_state_covariance(m, tol=1e-10, max_iter=500)
         assert np.linalg.norm(gt.covariance_step(m, P) - P) < 1e-8
 
     def test_matches_independent_dare_solver(self):
         m = gt.build_model(d=1, T=1.0, alpha=1.0, q=0.01, r=1.0)
-        P = gt.steady_state_covariance(m, p0=10.0, tol=1e-13, max_iter=5000)
+        P = gt.steady_state_covariance(m, tol=1e-13, max_iter=5000)
         A, H, Q, R = dense_matrices(m)
         dare = scipy.linalg.solve_discrete_are(A.T, H.T, Q, R)
         assert np.allclose(P, dare, rtol=1e-7, atol=1e-9)
 
     def test_multi_axis_steady_state(self):
         m = gt.build_model(d=3, q=0.01, r=1.0)
-        P = gt.steady_state_covariance(m, p0=10.0)
+        P = gt.steady_state_covariance(m)
         A, H, Q, R = dense_matrices(m)
         dare = scipy.linalg.solve_discrete_are(A.T, H.T, Q, R)
         assert np.allclose(P, dare, rtol=1e-6, atol=1e-8)
@@ -249,7 +272,7 @@ class TestSteadyState:
     def test_unsettled_recursion_raises_divergence(self):
         m = gt.build_model(d=1, T=1.0, alpha=1.0, q=0.01, r=1.0)
         with pytest.raises(gt.DivergenceError, match="did not settle within 1 iterations"):
-            gt.steady_state_covariance(m, p0=10.0, max_iter=1)
+            gt.steady_state_covariance(m, max_iter=1)
 
 
 class TestTrackSeries:
@@ -309,7 +332,7 @@ class TestTrackSeries:
         assert np.array_equal(rec.final_x_hat, state.x_hat)
 
 
-def assert_records_close(model, dense, fast, atol, p0=tracking.DEFAULT_P0):
+def assert_records_close(model, dense, fast, atol):
     """``fast`` (from the per-axis schedule) matches the dense oracle's ``dense``, and so do
     their final covariances: the oracle's P after the last observation against the
     schedule's P_n, assembled here as d diagonal copies."""
@@ -320,10 +343,10 @@ def assert_records_close(model, dense, fast, atol, p0=tracking.DEFAULT_P0):
     np.testing.assert_allclose(dense.p_traces, fast.p_traces, atol=atol, rtol=0.0)
     np.testing.assert_allclose(dense.final_x_hat, fast.final_x_hat, atol=atol, rtol=0.0)
     n = dense.n_steps + 1
-    P = p0 * np.eye(3 * model.d)
+    P = model.p0 * np.eye(3 * model.d)
     for _ in range(n):
         P = gt.covariance_step(model, P)
-    schedule_P = np.kron(tracking._gain_schedule(model, p0, n)[0][n], np.eye(model.d))
+    schedule_P = np.kron(tracking._gain_schedule(model, n)[0][n], np.eye(model.d))
     np.testing.assert_allclose(P, schedule_P, atol=atol, rtol=0.0)
 
 
@@ -370,10 +393,10 @@ class TestTrackUsers:
             "alpha": lambda: gt.build_model(4, alpha=0.9, q=1e-2, r=0.5),
             "identity_alpha": lambda: gt.build_model(3, alpha=0.95, q=4e-2, r=3e-1, q_structure="identity"),
         }[name]()
-        p0, n, eye = 10.0, 30, np.eye(model.d)
-        covariances, gains = tracking._gain_schedule(model, p0, n)
+        n, eye = 30, np.eye(model.d)
+        covariances, gains = tracking._gain_schedule(model, n)
         assert covariances.shape == (n + 1, 3, 3) and gains.shape == (n, 3)
-        P = p0 * np.eye(3 * model.d)
+        P = model.p0 * np.eye(3 * model.d)
         for k in range(n):
             np.testing.assert_allclose(np.kron(covariances[k], eye), P, atol=1e-9, rtol=0)
             np.testing.assert_allclose(np.kron(gains[k][:, None], eye), gt.gain(model, P), atol=1e-9, rtol=0)
@@ -406,15 +429,15 @@ class TestTrackUsers:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a RuntimeWarning would fail the test
             with pytest.raises(gt.DivergenceError, match=f"not finite at step {step}$"):
-                gt.track_users(gt.build_model(d=2, alpha=alpha), [series], p0=p0)
+                gt.track_users(gt.build_model(d=2, alpha=alpha, p0=p0), [series])
 
     @pytest.mark.parametrize("engine, step", [("track_users", 3), ("track_series", 4)])
     def test_non_positive_innovation_variance_named_with_its_step(self, engine, step):
         # q=0 with an almost exact measurement: the position variance rounds to slightly below 0
         series = gt.ProfileSeries("u", np.arange(6, dtype=float), np.full((6, 2), 0.5))
-        model = gt.build_model(2, alpha=0.5, q=0, r=1e-300)
-        run = {"track_users": lambda: gt.track_users(model, [series], p0=1),
-               "track_series": lambda: gt.track_series(model, series, p0=1)}[engine]
+        model = gt.build_model(2, alpha=0.5, q=0, r=1e-300, p0=1)
+        run = {"track_users": lambda: gt.track_users(model, [series]),
+               "track_series": lambda: gt.track_series(model, series)}[engine]
         with pytest.raises(gt.SingularInnovationError, match=rf"ill-conditioned at step {step}: eigenvalue -\S+ is not positive$"):
             run()
 
@@ -498,8 +521,9 @@ class TestCovarianceProperties:
     )
     def test_symmetric_psd_each_step(self, d, n, logq, logr, seed):
         rng = np.random.default_rng(seed)
-        m = gt.build_model(d=d, q=10.0**logq, r=10.0**logr)
-        s = gt.init_filter(m, rng.random(d), p0=float(rng.uniform(0.5, 20.0)))
+        z0 = rng.random(d)
+        m = gt.build_model(d=d, q=10.0**logq, r=10.0**logr, p0=float(rng.uniform(0.5, 20.0)))
+        s = gt.init_filter(m, z0)
         for _ in range(n):
             s = gt.predict_step(m, s, rng.random(d) * 2.0)
             assert np.array_equal(s.P, s.P.T)
