@@ -7,20 +7,20 @@ parameter values and where each came from (flag, config file, or default).
 Parameter precedence is defaults < config file < command-line flags; config
 files are plain ``key=value`` lines (``#`` starts a comment line).
 
-Each command is one pass: it reads and checks every input and computes its results,
-and only after its last check creates ``--out`` and writes its files there; ``main``
-then adds the manifest.  So a fault in an input leaves no output behind; a failure
-while writing leaves the files written before it.  Each command imports, when it runs,
-only the modules it uses: ``build-profiles`` loads ``space``, ``ioutil`` and
-``profiles``; ``track`` adds ``tracking``; ``recommend`` adds ``tracking`` and
-``recommender``; ``evaluate`` adds ``tracking`` and ``evaluation``; only ``simulate``
+Only ``main`` creates ``--out``, before any input is read, and a command that fails removes
+the directory its run created (``--out`` or its outermost missing parent); an ``--out`` that
+existed keeps what a failed command wrote.  Each command is one pass: it reads and checks
+every input, computes its results and writes them; ``main`` adds the manifest.  Each command
+imports, when it runs, only the modules it uses: ``build-profiles`` loads ``space``,
+``ioutil`` and ``profiles``; ``track`` adds ``tracking``; ``recommend`` adds ``tracking``
+and ``recommender``; ``evaluate`` adds ``tracking`` and ``evaluation``; only ``simulate``
 loads ``synthetic``; none loads ``dense``, the dense reference filter.  Only ``tracking``
 knows the ``tracks/`` layout: ``write_tracks`` names and writes its files, ``read_tracks``
-reads them.  Every CSV input is read by ``ioutil.read_rows``, except a plain
-event log, which ``profiles.read_events`` cuts with numpy byte operations and hands to
-``read_rows`` on any fault.  So a faulty row is named by ``path:line`` and its cause, and a
-user id in any table obeys one rule; the instants file is checked line by line the same way,
-and a byte that is not UTF-8 names its ``path:line`` in every input.
+reads them.  Every CSV input is read by ``ioutil.read_rows``, except a plain event log,
+which ``profiles.read_events`` cuts with numpy byte operations and hands to ``read_rows`` on
+any fault.  So a faulty row is named by ``path:line`` and its cause, and a user id in any
+table obeys one rule; the instants file is checked line by line the same way, and a byte
+that is not UTF-8 names its ``path:line`` in every input.
 
 Importing this module loads numpy with a one-thread OpenBLAS pool: a command's only linear
 algebra is the tracker's, on 3x3 blocks, and starting the pool costs time on a busy host
@@ -57,6 +57,7 @@ import datetime
 import math
 import os
 import re
+import shutil
 import sys
 from pathlib import Path
 
@@ -300,6 +301,7 @@ def _read_instants_file(path: str) -> list[float]:
 
 
 _EPOCH = datetime.date(1970, 1, 1)
+_DAYS = range((datetime.date.min - _EPOCH).days, (datetime.date.max - _EPOCH).days + 1)
 
 
 def _parse_day(raw: str) -> int:
@@ -312,14 +314,7 @@ def _parse_day(raw: str) -> int:
     return (day - _EPOCH).days
 
 
-def _output_dir(effective: dict) -> Path:
-    """Create ``--out``; a command calls this after its last check."""
-    outdir = Path(effective["out"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    return outdir
-
-
-def cmd_simulate(effective: dict) -> None:
+def cmd_simulate(effective: dict, out: Path) -> None:
     from .profiles import write_events, write_profiles
     from .space import write_vocabulary
     from .synthetic import ScenarioConfig, generate_scenario
@@ -333,17 +328,16 @@ def cmd_simulate(effective: dict) -> None:
         seed=effective["seed"],
     )
     scenario = generate_scenario(config, programs_per_day=effective["programs_per_day"])
-    outdir = _output_dir(effective)
-    write_vocabulary(scenario.space, outdir / "vocabulary.txt")
-    (outdir / "instants.txt").write_text(
+    write_vocabulary(scenario.space, out / "vocabulary.txt")
+    (out / "instants.txt").write_text(
         "\n".join(fmt(t) for t in scenario.instants) + "\n", encoding="utf-8"
     )
-    write_events(scenario.events, outdir / "events.csv")
-    write_profiles(scenario.observed(), scenario.space, outdir / "profiles.csv")
-    write_profiles({u.user_id: u.truth for u in scenario.users}, scenario.space, outdir / "truth.csv")
+    write_events(scenario.events, out / "events.csv")
+    write_profiles(scenario.observed(), scenario.space, out / "profiles.csv")
+    write_profiles({u.user_id: u.truth for u in scenario.users}, scenario.space, out / "truth.csv")
 
 
-def cmd_build_profiles(effective: dict) -> None:
+def cmd_build_profiles(effective: dict, out: Path) -> None:
     from .profiles import build_series, read_events, write_profiles
     from .space import read_vocabulary
     space = read_vocabulary(effective["vocabulary"])
@@ -356,10 +350,10 @@ def cmd_build_profiles(effective: dict) -> None:
     )
     if not series:
         raise CliError("no profile series could be built from the given events")
-    write_profiles(series, space, _output_dir(effective) / "built_profiles.csv")
+    write_profiles(series, space, out / "built_profiles.csv")
 
 
-def cmd_track(effective: dict) -> None:
+def cmd_track(effective: dict, out: Path) -> None:
     from .profiles import read_profiles
     from .space import read_vocabulary
     from .tracking import build_model, track_users, write_final_states, write_tracks
@@ -378,13 +372,12 @@ def cmd_track(effective: dict) -> None:
     )
     series = [series_by_user[user_id] for user_id in sorted(series_by_user)]
     records = track_users(model, series)
-    outdir = Path(effective["out"])
-    write_tracks(records, space, outdir / "tracks")  # creates --out after its own checks
+    write_tracks(records, space, out / "tracks")
     final_states = {record.user_id: record.final_x_hat for record in records}
-    write_final_states(final_states, space, outdir / "final_states.csv")
+    write_final_states(final_states, space, out / "final_states.csv")
 
 
-def cmd_recommend(effective: dict) -> None:
+def cmd_recommend(effective: dict, out: Path) -> None:
     from .profiles import read_events, read_profiles
     from .recommender import concept_deltas, recommend, write_recommendations
     from .space import read_vocabulary
@@ -403,6 +396,9 @@ def cmd_recommend(effective: dict) -> None:
         if not events:
             raise CliError("event log is empty; pass --date to pick the recommendation day")
         day = int(days.max())
+    if day not in _DAYS:
+        raise CliError(f"recommendation day {day} is outside 0001-01-01..9999-12-31"
+                       f" (days {_DAYS[0]}..{_DAYS[-1]})")
     date_str = (_EPOCH + datetime.timedelta(days=day)).isoformat()
 
     today = days == day
@@ -420,10 +416,10 @@ def cmd_recommend(effective: dict) -> None:
         recommendations.append(
             recommend(deltas, watched_today.get(user_id, set()), space, user_id, date_str)
         )
-    write_recommendations(recommendations, _output_dir(effective) / "recommendations.jsonl")
+    write_recommendations(recommendations, out / "recommendations.jsonl")
 
 
-def cmd_evaluate(effective: dict) -> None:
+def cmd_evaluate(effective: dict, out: Path) -> None:
     from .evaluation import evaluate_many, write_histogram, write_report, write_summary
     from .profiles import read_profiles
     from .space import read_vocabulary
@@ -431,14 +427,10 @@ def cmd_evaluate(effective: dict) -> None:
     space = read_vocabulary(effective["vocabulary"])
     observations = read_profiles(effective["profiles"], space)
     records = read_tracks(effective["tracks"], space)
-    try:
-        pooled = evaluate_many(records, observations, tau=effective["tau"])
-    except KeyError as exc:
-        raise CliError(str(exc.args[0])) from exc
-    outdir = _output_dir(effective)
-    write_report(pooled, outdir / "report.csv")
-    write_summary(pooled, outdir / "summary.txt")
-    write_histogram(pooled, outdir / "histogram.csv")
+    pooled = evaluate_many(records, observations, tau=effective["tau"])
+    write_report(pooled, out / "report.csv")
+    write_summary(pooled, out / "summary.txt")
+    write_histogram(pooled, out / "histogram.csv")
 
 
 _HANDLERS = {
@@ -458,11 +450,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     command = args.command
+    missing: list[Path] = []  # --out and its parents that this run creates, innermost first
     try:
         effective, sources = _merge_params(command, args)
-        _HANDLERS[command](effective)
-        _write_manifest(Path(effective["out"]), command, effective, sources)
+        out = Path(effective["out"])
+        missing = [path for path in (out, *out.parents) if not path.exists()]
+        out.mkdir(parents=True, exist_ok=True)
+        _HANDLERS[command](effective, out)
+        _write_manifest(out, command, effective, sources)
     except Exception as exc:
+        if missing:
+            shutil.rmtree(missing[-1], ignore_errors=True)
         input_errors: tuple = (CliError, ValueError, KeyError, OSError)
         # Under track_users a filter that diverges depends only on the model, an input.  Only
         # a command that loaded tracking can raise its errors.

@@ -18,7 +18,7 @@ the generated data stays effectively linear.  Three regimes:
 
 Everything is driven by ``numpy.random.default_rng`` seeded through
 ``SeedSequence(seed, spawn_key=(user_index, stream))``, so output is a pure
-function of the config: same config, same bytes out, serial or parallel.
+function of the config: same config, same bytes out.
 Users are drawn one stream at a time and then advanced together, one step a day.
 Watch events go straight into the columns of an ``EventLog``, with one uniform
 draw per user for all of that user's events and no per-event object.

@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import gc
 import hashlib
+import inspect
 import json
 import os
 import shutil
@@ -181,6 +183,27 @@ class TestConfigPrecedence:
         assert code == 2
         assert "key=value" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_defaults_are_the_library_defaults(self):
+        def defaults(command, keys):
+            return {key: cli._PARAMS[command][key][1] for key in keys}
+
+        def keyword_defaults(function, keys):
+            parameters = inspect.signature(function).parameters
+            return {key: parameters[key].default for key in keys}
+
+        model_keys = ["T", "alpha", "q", "r", "p0", "q_structure"]
+        assert defaults("track", model_keys) == keyword_defaults(gt.build_model, model_keys)
+        config = {field.name: field.default for field in dataclasses.fields(gt.ScenarioConfig)}
+        fields = {"d": "d", "k": "K", "users": "n_users", "regime": "regime",
+                  "q_true": "q_true", "r_true": "r_true", "seed": "seed"}
+        assert defaults("simulate", fields) == {key: config[field] for key, field in fields.items()}
+        assert defaults("simulate", ["programs_per_day"]) == keyword_defaults(
+            gt.generate_scenario, ["programs_per_day"])
+        fold_keys = ["decay", "normalize"]
+        assert defaults("build-profiles", fold_keys) == keyword_defaults(gt.build_series, fold_keys)
+        assert defaults("recommend", ["theta"]) == {"theta": gt.DEFAULT_THETA}
+        assert defaults("evaluate", ["tau"]) == {"tau": gt.DEFAULT_TAU}
 
 
 class TestErrors:
@@ -642,8 +665,11 @@ class TestCommandFaults:
             ({"states": ""}, "final-state file {final_states} contains no users"),
             ({"events": ""}, "event log is empty; pass --date to pick the recommendation day"),
             ({"states": "u,1,0,0\nv,1,0,0\n"}, "user 'v' has a final state but no profile series"),
+            ({"events": "u,150,a,1\nu,1e17,a,1\n"},
+             "recommendation day 1157407407407 is outside 0001-01-01..9999-12-31 (days -719162..2932896)"),
         ],
-        ids=["header_only_final_states", "empty_event_log_and_no_date", "user_with_no_profile_series"],
+        ids=["header_only_final_states", "empty_event_log_and_no_date", "user_with_no_profile_series",
+             "last_event_day_out_of_range"],
     )
     def test_recommend(self, tmp_path, capsys, tables, message):
         inputs = self.one_genre_inputs(tmp_path, **tables)
@@ -870,21 +896,41 @@ class TestRecommendDates:
         assert a == b
         assert json.loads(a.splitlines()[0])["date"] == "1970-01-04"
 
-    def test_bad_date(self, pipeline, tmp_path, capsys):
+    @staticmethod
+    def recommend_argv(pipeline, date, out):
         sim, built, tracked = pipeline["sim"], pipeline["built"], pipeline["tracked"]
-        code = run(
-            [
-                "recommend",
-                "--vocabulary", str(sim / "vocabulary.txt"),
-                "--final-states", str(tracked / "final_states.csv"),
-                "--profiles", str(built / "built_profiles.csv"),
-                "--events", str(sim / "events.csv"),
-                "--date", "someday",
-                "--out", str(tmp_path / "o"),
-            ]
-        )
-        assert code == 2
+        return [
+            "recommend",
+            "--vocabulary", str(sim / "vocabulary.txt"),
+            "--final-states", str(tracked / "final_states.csv"),
+            "--profiles", str(built / "built_profiles.csv"),
+            "--events", str(sim / "events.csv"),
+            "--date", date,
+            "--out", str(out),
+        ]
+
+    @pytest.mark.parametrize(
+        "date, message",
+        [
+            ("someday", "date must be a day index or an ISO date, got 'someday'"),
+            ("2932897", "recommendation day 2932897 is outside 0001-01-01..9999-12-31 (days -719162..2932896)"),
+            ("-719163", "recommendation day -719163 is outside 0001-01-01..9999-12-31 (days -719162..2932896)"),
+            ("99999999999",
+             "recommendation day 99999999999 is outside 0001-01-01..9999-12-31 (days -719162..2932896)"),
+        ],
+        ids=["someday", "2932897", "-719163", "99999999999"],
+    )
+    def test_bad_date(self, pipeline, tmp_path, capsys, date, message):
+        assert run(self.recommend_argv(pipeline, date, tmp_path / "o")) == 2
+        assert capsys.readouterr().err == f"genretrack recommend: error: {message}\n"
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("date, iso", [("-719162", "0001-01-01"), ("2932896", "9999-12-31")])
+    def test_first_and_last_day(self, pipeline, tmp_path, date, iso):
+        out = tmp_path / "o"
+        assert run(self.recommend_argv(pipeline, date, out)) == 0
+        lines = (out / "recommendations.jsonl").read_bytes().splitlines()
+        assert {json.loads(line)["date"] for line in lines} == {iso}
 
 
 def fresh_python(code: str, env: dict[str, str] | None = None):
@@ -1014,7 +1060,7 @@ class TestExitCodes:
         ],
     )
     def test_exit_code_by_error(self, pipeline, tmp_path, monkeypatch, capsys, error, code):
-        def fail(effective):
+        def fail(effective, out):
             raise error
 
         monkeypatch.setitem(cli._HANDLERS, "evaluate", fail)
@@ -1023,6 +1069,54 @@ class TestExitCodes:
         prefix = "error" if code == 2 else "unexpected error"
         assert capsys.readouterr().err == f"genretrack evaluate: {prefix}: {error}\n"
         assert not (tmp_path / "o").exists()
+
+
+class TestFailedCommandCleanup:
+    """``main`` creates ``--out``; a command that fails removes the directory its run created."""
+
+    @pytest.fixture
+    def full_disk(self, monkeypatch):
+        """``track`` fails after it has written ``tracks/``: the final-state write finds no space."""
+        import genretrack.tracking
+
+        def write_final_states(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(genretrack.tracking, "write_final_states", write_final_states)
+
+    @staticmethod
+    def track(pipeline, out, capsys, message="[Errno 28] No space left on device"):
+        sim, built = pipeline["sim"], pipeline["built"]
+        argv = ["track", "--vocabulary", str(sim / "vocabulary.txt"),
+                "--profiles", str(built / "built_profiles.csv"), "--out", str(out)]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"genretrack track: error: {message}\n"
+
+    def test_new_out_is_removed(self, pipeline, tmp_path, capsys, full_disk):
+        self.track(pipeline, tmp_path / "o", capsys)
+        assert not (tmp_path / "o").exists()
+
+    def test_missing_parents_are_removed(self, pipeline, tmp_path, capsys, full_disk):
+        self.track(pipeline, tmp_path / "new" / "deeper" / "o", capsys)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_existing_out_keeps_its_files(self, pipeline, tmp_path, capsys, full_disk):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "sentinel.txt").write_text("kept\n", encoding="utf-8")
+        self.track(pipeline, out, capsys)
+        assert (out / "sentinel.txt").read_text(encoding="utf-8") == "kept\n"
+        assert (out / "tracks" / "index.csv").is_file()  # the files written before the failure stay
+
+    def test_out_that_is_a_file_is_reported_before_any_input(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.write_text("a file\n", encoding="utf-8")
+        sim = pipeline["sim"]
+        argv = ["track", "--vocabulary", str(sim / "vocabulary.txt"),
+                "--profiles", str(tmp_path / "missing.csv"), "--out", str(out)]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"genretrack track: error: [Errno 17] File exists: '{out}'\n"
+        assert out.read_text(encoding="utf-8") == "a file\n"
 
 
 class TestImports:
