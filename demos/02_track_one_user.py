@@ -2,9 +2,8 @@
 
 The tracker treats the interest profile as a target moving through genre
 space with position, velocity and acceleration per axis.  Each step consumes
-one daily snapshot and emits the forecast for the next day.  ``track_series`` is
-the dense reference filter (``genretrack.dense``); ``track_users``, which the CLI
-runs, gives the same record to rounding.
+one daily snapshot and emits the forecast for the next day.  ``track_users`` is
+the filter the CLI runs, here given a single series.
 """
 
 import numpy as np
@@ -18,7 +17,7 @@ user = data.users[0]
 observed = user.observed
 
 model = gt.build_model(d=cfg.d, q=1e-4, r=1e-3, p0=10.0)
-record = gt.track_series(model, observed)
+record = gt.track_users(model, [observed])[0]
 
 print(f"user {user.user_id}: {observed.n_instants} snapshots, d={cfg.d}")
 print(f"{record.n_steps} one-step-ahead predictions\n")
@@ -31,7 +30,7 @@ for i, step in enumerate(record.steps):
     print(f"{step:4d}   {innov:11.4f}   {record.gain_norms[i]:9.4f}"
           f"   {record.p_traces[i]:8.3f}   {cos:17.5f}")
 
-report = gt.evaluate_record(record, observed, tau=0.15)
+report = gt.evaluate(observed, record.predicted, tau=0.15)
 print(f"\nmean cosine distance: {report.mean_cosine:.4f}")
 print(f"fraction of days below 0.15: {report.fraction_below_threshold:.2f}")
 print(f"smoothness ratio (pred wiggle / obs wiggle): {report.smoothness_ratio:.3f}")

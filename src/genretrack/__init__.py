@@ -18,7 +18,7 @@ import importlib
 __version__ = "0.1.0"
 
 # Ordered so that each module follows the modules it imports.
-_MODULES = ("space", "profiles", "tracking", "dense", "recommender", "evaluation", "synthetic")
+_MODULES = ("space", "profiles", "tracking", "recommender", "evaluation", "synthetic")
 
 
 def __getattr__(name: str):

@@ -14,13 +14,13 @@ every input, computes its results and writes them; ``main`` adds the manifest.  
 imports, when it runs, only the modules it uses: ``build-profiles`` loads ``space``,
 ``ioutil`` and ``profiles``; ``track`` adds ``tracking``; ``recommend`` adds ``tracking``
 and ``recommender``; ``evaluate`` adds ``tracking`` and ``evaluation``; only ``simulate``
-loads ``synthetic``; none loads ``dense``, the dense reference filter.  Only ``tracking``
-knows the ``tracks/`` layout: ``write_tracks`` names and writes its files, ``read_tracks``
-reads them.  Every CSV input is read by ``ioutil.read_rows``, except a plain event log,
-which ``profiles.read_events`` cuts with numpy byte operations and hands to ``read_rows`` on
-any fault.  So a faulty row is named by ``path:line`` and its cause, and a user id in any
-table obeys one rule; the instants file is checked line by line the same way, and a byte
-that is not UTF-8 names its ``path:line`` in every input.
+loads ``synthetic``.  Only ``tracking`` knows the ``tracks/`` layout: ``write_tracks``
+names and writes its files, ``read_tracks`` reads them.  Every CSV input is read by
+``ioutil.read_rows``, except a plain event log, which ``profiles.read_events`` cuts with
+numpy byte operations and hands to ``read_rows`` on any fault.  So a faulty row is named by
+``path:line`` and its cause, and a user id in any table obeys one rule; the instants file is
+checked line by line the same way, and a byte that is not UTF-8 names its ``path:line`` in
+every input.
 
 Importing this module loads numpy with a one-thread OpenBLAS pool: a command's only linear
 algebra is the tracker's, on 3x3 blocks, and starting the pool costs time on a busy host

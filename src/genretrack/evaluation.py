@@ -31,7 +31,6 @@ __all__ = [
     "EvalReport",
     "PooledReport",
     "evaluate",
-    "evaluate_record",
     "evaluate_many",
     "pooled_histogram",
     "write_report",
@@ -85,8 +84,7 @@ class PooledReport:
         return len(self.reports)
 
     def all_cosines(self) -> np.ndarray:
-        parts = [r.valid_cosines() for r in self.reports if r.valid_cosines().size]
-        return np.concatenate(parts) if parts else np.empty(0)
+        return np.concatenate([np.empty(0), *(r.valid_cosines() for r in self.reports)])
 
     @property
     def total_skipped(self) -> int:
@@ -205,15 +203,6 @@ def evaluate(
     )
 
 
-def evaluate_record(
-    record: TrackRecord,
-    observations: ProfileSeries,
-    tau: float = DEFAULT_TAU,
-) -> EvalReport:
-    """Score a track record against the series it tracked."""
-    return evaluate(observations, record.predicted, tau, record.steps, record.user_id)
-
-
 def evaluate_many(
     records: Iterable[TrackRecord],
     observations: Mapping[str, ProfileSeries],
@@ -224,7 +213,8 @@ def evaluate_many(
     for record in records:
         if record.user_id not in observations:
             raise KeyError(f"no observed series for user {record.user_id!r}")
-        reports.append(evaluate_record(record, observations[record.user_id], tau))
+        series = observations[record.user_id]
+        reports.append(evaluate(series, record.predicted, tau, record.steps, record.user_id))
     reports.sort(key=lambda r: r.user_id)
     return PooledReport(tau=tau, reports=tuple(reports))
 

@@ -32,7 +32,6 @@ __all__ = [
     "recommend",
     "filter_catalog",
     "write_recommendations",
-    "read_recommendations",
 ]
 
 DEFAULT_THETA = 0.05
@@ -178,18 +177,3 @@ def write_recommendations(recs: Iterable[Recommendation], path: str | Path) -> N
             fh.write(json.dumps(vars(rec), sort_keys=True))
             fh.write("\n")
 
-
-def read_recommendations(path: str | Path) -> list[Recommendation]:
-    recs = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                lists = (tuple(obj[key]) for key in ("promoted", "demoted", "excluded_watched"))
-                recs.append(Recommendation(obj["user_id"], *lists, date=obj.get("date", "")))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{line_no}: bad recommendation record: {exc}") from exc
-    return recs

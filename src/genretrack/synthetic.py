@@ -45,7 +45,6 @@ __all__ = [
     "placeholder_vocabulary",
     "day_instants",
     "generate_users",
-    "generate_trajectories",
     "generate_events",
     "generate_scenario",
 ]
@@ -195,11 +194,6 @@ def generate_users(config: ScenarioConfig) -> tuple[SimulatedUser, ...]:
         SimulatedUser(u, ProfileSeries(u, instants.copy(), t), ProfileSeries(u, instants.copy(), z))
         for u, t, z in zip((f"u{i:04d}" for i in range(N)), truth, observed)
     )
-
-
-def generate_trajectories(config: ScenarioConfig) -> dict[str, ProfileSeries]:
-    """Observed daily snapshot series per user id, sorted by user id."""
-    return {u.user_id: u.observed for u in generate_users(config)}
 
 
 def generate_events(

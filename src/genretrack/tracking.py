@@ -25,9 +25,9 @@ prediction x_hat = X(k | k-1) and covariance P = P(k | k-1), on each axis,
 The P and K recursion never sees a measurement, and every axis shares it, so
 :func:`track_users` computes one 3x3 gain schedule from the model alone,
 then makes one data pass over every user and axis.  No array larger than 3x3
-describes the model.  The general dense filter over the stacked 3d state, the
-independent reference this engine is tested against, is :mod:`genretrack.dense`,
-which no command imports.
+describes the model, so the innovation covariance is a scalar; the general dense
+filter over the stacked 3d state, the independent reference this engine is tested
+against, is test code.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ __all__ = [
     "DivergenceError",
     "SingularInnovationError",
     "build_model",
+    "gain_schedule",
     "track_users",
     "read_track_record",
     "write_tracks",
@@ -57,8 +58,6 @@ __all__ = [
     "write_final_states",
 ]
 
-# Condition-number ceiling for the innovation covariance solve.
-COND_LIMIT = 1e12
 # Most negative covariance eigenvalue tolerated before declaring divergence, per unit of
 # the covariance's scale (see _psd_tolerance).
 PSD_TOL = 1e-9
@@ -148,21 +147,6 @@ def build_model(
     return TrackingModel(d, T, alpha, q, r, p0, q_structure)
 
 
-def _check_conditioning(eigenvalues: np.ndarray, step: int | None) -> None:
-    """Reject an innovation covariance with these eigenvalues, consumed at ``step``, if unusable."""
-    lowest, highest = np.min(eigenvalues), np.max(eigenvalues)
-    where = "" if step is None else f" at step {step}"
-    if lowest <= 0.0:
-        raise SingularInnovationError(
-            f"innovation covariance ill-conditioned{where}: eigenvalue {lowest:.3e} is not positive"
-        )
-    if highest / COND_LIMIT > lowest:  # a division cannot overflow
-        raise SingularInnovationError(
-            f"innovation covariance ill-conditioned{where}: "
-            f"eigenvalue range [{lowest:.3e}, {highest:.3e}]"
-        )
-
-
 def _psd_tolerance(diagonal: np.ndarray) -> float:
     """PSD_TOL times the covariance's scale: its largest diagonal entry, and at least 1.
 
@@ -199,16 +183,20 @@ class TrackRecord:
         return int(self.steps.size)
 
 
-def _gain_schedule(model: TrackingModel, n: int) -> tuple[np.ndarray, np.ndarray]:
+def gain_schedule(model: TrackingModel, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Every axis's covariances P_0..P_n, (n + 1, 3, 3), and gains K_0..K_{n-1}, (n, 3), of
-    n steps from p0*I: they depend only on the model.  Raises the error of the first step
-    that fails a check."""
+    n steps from p0*I: they depend only on the model, and their tail converges to the
+    steady state.  Raises the error of the first step that fails a check."""
     A3 = _transition_block(model.T, model.alpha)
     P = model.p0 * np.eye(3)
     covariances, gains = [P], []
     for k in range(n):
         S = P[0, 0] + model.r
-        _check_conditioning(S, k)
+        if S <= 0.0:
+            raise SingularInnovationError(
+                f"innovation covariance ill-conditioned at step {k}: "
+                f"eigenvalue {S:.3e} is not positive"
+            )
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
             AP = A3 @ P
             cross = AP[:, 0]  # A P e1
@@ -228,15 +216,14 @@ def track_users(model: TrackingModel, series_list: Sequence[ProfileSeries]) -> l
     """Track every series at once, one filter per genre axis; records in input order.
 
     P_k and K_k never see the data and are the same on every axis:
-    :func:`_gain_schedule` computes them once, for the longest series, and one
+    :func:`gain_schedule` computes them once, for the longest series, and one
     data pass advances all users together, one (N, d, 3) update per step; a
-    shorter series uses a prefix.  Records match the dense filter
-    (:func:`genretrack.dense.track_series`) to rounding; equal lengths share
-    read-only steps, gain norms and traces.  A step of the schedule that fails a
-    check is raised before any series is checked.
+    shorter series uses a prefix.  Records match the dense filter over the stacked
+    3d state to rounding; equal lengths share read-only steps, gain norms and traces.
+    A step of the schedule that fails a check is raised before any series is checked.
     """
     lengths = np.array([series.n_instants for series in series_list], dtype=np.intp)
-    covariances, gains = _gain_schedule(model, int(lengths.max(initial=0)))
+    covariances, gains = gain_schedule(model, int(lengths.max(initial=0)))
     d = model.d
     for series in series_list:
         uid, n_obs = series.user_id, series.n_instants

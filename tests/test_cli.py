@@ -2,9 +2,11 @@ import csv
 import dataclasses
 import gc
 import hashlib
+import importlib.util
 import inspect
 import json
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -17,6 +19,7 @@ import pytest
 import genretrack as gt
 from genretrack import cli
 from genretrack.cli import main
+import dense_oracle as oracle
 
 
 def run(argv):
@@ -309,8 +312,10 @@ class TestErrors:
             (["--alpha", "1e50"], "innovation covariance ill-conditioned at step 2: eigenvalue"),
             (["--alpha", "0.5", "--q", "0", "--r", "1e-300", "--p0", "1"],
              "innovation covariance ill-conditioned at step 3: eigenvalue -4.441e-16 is not positive"),
+            # the dense oracle tracks this model; ROADMAP item 9's square-root schedule will too
+            (["--q", "1e-3", "--r", "1e-8", "--p0", "1e8"], "prediction covariance lost PSD at step 3"),
         ],
-        ids=["huge_q", "huge_alpha", "non_positive_innovation"],
+        ids=["huge_q", "huge_alpha", "non_positive_innovation", "lost_psd"],
     )
     def test_large_model_fails_with_its_real_cause(self, pipeline, tmp_path, capsys, flags, cause):
         code = run([
@@ -773,7 +778,7 @@ class TestUndecodableBytes:
 
 class TestTrackMatchesLibrary:
     def test_matches_track_series_within_print_precision(self, pipeline):
-        """CLI ``track`` output matches the library's dense ``track_series`` within 1e-9."""
+        """CLI ``track`` output matches the dense oracle's ``track_series`` within 1e-9."""
         sim, built, tracked = pipeline["sim"], pipeline["built"], pipeline["tracked"]
         index = (tracked / "tracks" / "index.csv").read_text(encoding="utf-8")
         assert index == "user_id,file\nu0000,u0000.csv\nu0001,u0001.csv\nu0002,u0002.csv\n"
@@ -783,7 +788,7 @@ class TestTrackMatchesLibrary:
         states = gt.read_final_states(tracked / "final_states.csv", space)
         assert set(states) == set(series)
         for uid in ("u0000", "u0001", "u0002"):
-            a = gt.track_series(model, series[uid])
+            a = oracle.track_series(model, series[uid])
             b = gt.read_track_record(tracked / "tracks" / f"{uid}.csv", space, uid)
             assert np.array_equal(a.steps, b.steps)
             np.testing.assert_allclose(a.predicted, b.predicted, atol=1e-9, rtol=0.0)
@@ -873,7 +878,7 @@ class TestAwkwardUserIds:
         records = gt.read_tracks(tracks, space)
         assert [record.user_id for record in records] == ids
         for record in records:
-            expected = gt.track_series(model, series[record.user_id]).predicted
+            expected = oracle.track_series(model, series[record.user_id]).predicted
             np.testing.assert_allclose(record.predicted, expected, atol=1e-9, rtol=0.0)
 
 
@@ -979,6 +984,13 @@ class TestLazyLoading:
         loaded = loaded_modules("import genretrack\ngenretrack.WatchEvent")
         assert loaded == ["genretrack", "genretrack.ioutil", "genretrack.profiles", "genretrack.space"]
 
+    def test_package_ships_no_dense_oracle(self):
+        assert importlib.util.find_spec("genretrack.dense") is None
+
+    def test_package_holds_the_reexported_modules_cli_and_ioutil(self):
+        shipped = {info.name for info in pkgutil.iter_modules(gt.__path__)}
+        assert shipped == {*gt._MODULES, "cli", "ioutil"}
+
     def test_unknown_name_is_an_attribute_error(self):
         with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
             gt.no_such_name
@@ -1010,7 +1022,7 @@ class TestLazyLoading:
             "--out", str(tmp_path / "o"),
         ])
         assert "genretrack.recommender" in loaded
-        assert not {"genretrack.synthetic", "genretrack.evaluation", "genretrack.dense"} & set(loaded)
+        assert not {"genretrack.synthetic", "genretrack.evaluation"} & set(loaded)
 
     def test_recommend_loads_no_numpy_ma(self, pipeline, tmp_path):
         sim, built, tracked = pipeline["sim"], pipeline["built"], pipeline["tracked"]
@@ -1034,7 +1046,7 @@ class TestLazyLoading:
             "--out", str(tmp_path / "o"),
         ])
         assert "genretrack.evaluation" in loaded
-        assert not {"genretrack.recommender", "genretrack.synthetic", "genretrack.dense"} & set(loaded)
+        assert not {"genretrack.recommender", "genretrack.synthetic"} & set(loaded)
 
     def test_track_loads_tracking_but_not_the_dense_oracle(self, pipeline, tmp_path):
         sim, built = pipeline["sim"], pipeline["built"]
@@ -1132,7 +1144,7 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
 
     def test_cli_does_not_load_scipy(self, pipeline, tmp_path):
-        # SciPy is a test-only dependency: neither the CLI nor either filter may load any of it
+        # SciPy is a test-only dependency: neither the CLI nor its filter may load any of it
         sim, built = pipeline["sim"], pipeline["built"]
         argv = [
             "track", "--vocabulary", str(sim / "vocabulary.txt"),
@@ -1145,13 +1157,6 @@ class TestImports:
             "    assert not loaded, f'{after} loaded {sorted(loaded)}'\n"
             "import genretrack.cli\n"
             "assert_no_scipy('import genretrack.cli')\n"
-            "import numpy as np\n"
-            "import genretrack as gt\n"
-            "model = gt.build_model(d=3)\n"
-            "series = gt.ProfileSeries('u', np.arange(4.0), np.random.default_rng(0).random((4, 3)))\n"
-            "gt.track_series(model, series)\n"
-            "gt.steady_state_covariance(model)\n"
-            "assert_no_scipy('the dense filter')\n"
             f"assert genretrack.cli.main({argv!r}) == 0\n"
             "assert_no_scipy('genretrack track')\n"
         )

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import genretrack as gt
+import dense_oracle as oracle
 
 
 def make_series(rng, d=3, K=8, user_id="u"):
@@ -149,7 +150,7 @@ class TestEvaluateMany:
             uid = f"u{i}"
             series = make_series(rng, d=2, K=10, user_id=uid)
             observations[uid] = series
-            records.append(gt.track_series(m, series))
+            records.append(oracle.track_series(m, series))
         return gt.evaluate_many(records, observations), records, observations
 
     def test_sorted_reports(self):
@@ -177,7 +178,7 @@ class TestHistogram:
         rng = np.random.default_rng(9)
         m = gt.build_model(d=2)
         series = make_series(rng, d=2, K=12)
-        pooled = gt.evaluate_many([gt.track_series(m, series)], {"u": series})
+        pooled = gt.evaluate_many([oracle.track_series(m, series)], {"u": series})
         edges, counts = gt.pooled_histogram(pooled, bin_width=0.05)
         assert edges[0] == 0.0
         assert edges[-1] == pytest.approx(2.0)
@@ -198,7 +199,7 @@ class TestWriters:
         rng = np.random.default_rng(10)
         m = gt.build_model(d=2)
         series = make_series(rng, d=2, K=5)
-        pooled = gt.evaluate_many([gt.track_series(m, series)], {"u": series})
+        pooled = gt.evaluate_many([oracle.track_series(m, series)], {"u": series})
         path = tmp_path / "report.csv"
         gt.write_report(pooled, path)
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -209,7 +210,7 @@ class TestWriters:
         rng = np.random.default_rng(11)
         m = gt.build_model(d=2)
         series = make_series(rng, d=2, K=5)
-        pooled = gt.evaluate_many([gt.track_series(m, series)], {"u": series})
+        pooled = gt.evaluate_many([oracle.track_series(m, series)], {"u": series})
         path = tmp_path / "summary.txt"
         gt.write_summary(pooled, path)
         text = path.read_text(encoding="utf-8")
@@ -227,7 +228,7 @@ class TestWriters:
         rng = np.random.default_rng(12)
         m = gt.build_model(d=2)
         series = make_series(rng, d=2, K=6)
-        pooled = gt.evaluate_many([gt.track_series(m, series)], {"u": series})
+        pooled = gt.evaluate_many([oracle.track_series(m, series)], {"u": series})
         path = tmp_path / "hist.csv"
         gt.write_histogram(pooled, path)
         lines = path.read_text(encoding="utf-8").splitlines()

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import genretrack as gt
-from properties import check_watched_exclusion, run_many
+from properties import check_watched_exclusion, read_recommendations, run_many
 
 
 class TestConceptDeltas:
@@ -185,7 +185,7 @@ class TestRecommendationIO:
         ]
         path = tmp_path / "recs.jsonl"
         gt.write_recommendations(recs, path)
-        back = gt.read_recommendations(path)
+        back = read_recommendations(path)
         assert len(back) == 2
         for orig, got in zip(recs, back):
             assert got.user_id == orig.user_id
@@ -199,4 +199,4 @@ class TestRecommendationIO:
         good = '{"user_id": "u", "date": "", "promoted": [], "demoted": [], "excluded_watched": []}'
         path.write_text(good + "\nnot json\n", encoding="utf-8")
         with pytest.raises(ValueError, match=":2:"):
-            gt.read_recommendations(path)
+            read_recommendations(path)

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 import genretrack as gt
 from genretrack import profiles, tracking
 from genretrack.cli import main
-from properties import assert_same_log
+import dense_oracle as oracle
+from properties import assert_same_log, read_recommendations
 
 # Any character but controls, surrogates (not UTF-8) and the line and paragraph separators.
 ID_CHARS = st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp"))
@@ -122,7 +123,7 @@ def test_unwritable_id_in_a_hand_written_table_is_refused_naming_it(tmp_path, sp
 
 def _pooled(space, user_id):
     series = series_of([user_id])[user_id]
-    record = gt.track_series(gt.build_model(d=space.d, q=1e-3, r=1e-2), series)
+    record = oracle.track_series(gt.build_model(d=space.d, q=1e-3, r=1e-2), series)
     return gt.evaluate_many([record], {user_id: series})
 
 
@@ -257,7 +258,7 @@ def test_recommendations_read_back_unchanged(tmp_path_factory, data):
         recs.append(gt.recommend(deltas, watched, space, user_id, data.draw(st.sampled_from(["", "2010-03-04"]))))
     path = tmp_path_factory.mktemp("recs") / "recommendations.jsonl"
     gt.write_recommendations(recs, path)
-    assert gt.read_recommendations(path) == recs
+    assert read_recommendations(path) == recs
     # One line per record, even for an id holding a character str.splitlines splits at.
     assert len(path.read_bytes().split(b"\n")) == len(recs) + 1
 
@@ -303,4 +304,4 @@ def test_genre_labels_read_back_unchanged(tmp_path_factory, labels):
 
     rec = gt.Recommendation("u", tuple(labels[:1]), tuple(labels[1:3]), tuple(labels[3:]), "2010-03-04")
     gt.write_recommendations([rec], folder / "recommendations.jsonl")
-    assert gt.read_recommendations(folder / "recommendations.jsonl") == [rec]
+    assert read_recommendations(folder / "recommendations.jsonl") == [rec]

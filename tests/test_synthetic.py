@@ -102,10 +102,10 @@ class TestTrajectories:
         for us, ul in zip(small.users, large.users):
             assert np.array_equal(us.truth.profiles, ul.truth.profiles)
 
-    def test_generate_trajectories_matches_scenario(self):
+    def test_observed_matches_users(self):
         cfg = self.small()
-        series = gt.generate_trajectories(cfg)
         data = gt.generate_scenario(cfg)
+        series = data.observed()
         assert set(series) == {u.user_id for u in data.users}
         for u in data.users:
             assert np.array_equal(series[u.user_id].profiles, u.observed.profiles)
@@ -200,7 +200,7 @@ class TestGenerateEvents:
 
     def test_deterministic(self):
         cfg = gt.ScenarioConfig(d=3, K=5, n_users=2, seed=21)
-        series = gt.generate_trajectories(cfg)
+        series = gt.generate_scenario(cfg).observed()
         space = gt.new_space(gt.placeholder_vocabulary(cfg.d))
         a = gt.generate_events(series, space, programs_per_day=3, seed=4)
         b = gt.generate_events(series, space, programs_per_day=3, seed=4)

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import genretrack as gt
 from genretrack import tracking
-from genretrack.dense import FilterState, dense_matrices
+import dense_oracle as oracle
+from dense_oracle import FilterState, dense_matrices
 from properties import check_covariance_properties, run_many
 
 
@@ -133,7 +134,7 @@ class TestBuildModel:
 class TestInitFilter:
     def test_positions_seeded_rest_zero(self):
         m = gt.build_model(d=2, p0=10.0)
-        s = gt.init_filter(m, np.array([1.0, 2.0]))
+        s = oracle.init_filter(m, np.array([1.0, 2.0]))
         assert s.x_hat.tolist() == [1.0, 2.0, 0.0, 0.0, 0.0, 0.0]
         assert np.array_equal(s.P, 10.0 * np.eye(6))
         assert s.k == 0
@@ -145,25 +146,25 @@ class TestInitFilter:
     def test_dimension_mismatch(self):
         m = gt.build_model(d=2)
         with pytest.raises(ValueError):
-            gt.init_filter(m, np.array([1.0, 2.0, 3.0]))
+            oracle.init_filter(m, np.array([1.0, 2.0, 3.0]))
 
 
 class TestGain:
     def test_unit_covariance_hand_value(self):
         m = gt.build_model(d=1, q=0.0, r=1.0)
-        K = gt.gain(m, np.eye(3))
+        K = oracle.gain(m, np.eye(3))
         assert np.allclose(K, np.array([[0.5], [0.0], [0.0]]), atol=1e-12)
 
     def test_zero_covariance_zero_gain(self):
         m = gt.build_model(d=1, q=0.0, r=1.0)
-        K = gt.gain(m, np.zeros((3, 3)))
+        K = oracle.gain(m, np.zeros((3, 3)))
         assert np.array_equal(K, np.zeros((3, 1)))
 
     def test_gain_shrinks_with_noisier_measurements(self):
         norms = []
         for r in (1.0, 100.0, 10000.0):
             m = gt.build_model(d=1, q=0.0, r=r)
-            norms.append(np.linalg.norm(gt.gain(m, np.eye(3))))
+            norms.append(np.linalg.norm(oracle.gain(m, np.eye(3))))
         assert norms[0] == pytest.approx(0.5, abs=1e-12)
         assert norms[1] == pytest.approx(1.0 / 101.0, abs=1e-12)
         assert norms[2] == pytest.approx(1.0 / 10001.0, abs=1e-12)
@@ -181,7 +182,7 @@ class TestGain:
         P[0, 0] = 1e14
         P[1, 1] = 1e-4
         with pytest.raises(gt.SingularInnovationError):
-            gt.gain(m, P)
+            oracle.gain(m, P)
 
 
 class TestPredictStep:
@@ -189,7 +190,7 @@ class TestPredictStep:
         # d=1, T=1, alpha=1, q=0, r=1, x=0, P=I, z=1
         m = gt.build_model(d=1, q=0.0, r=1.0)
         s = FilterState(x_hat=np.zeros(3), P=np.eye(3))
-        out = gt.predict_step(m, s, np.array([1.0]))
+        out = oracle.predict_step(m, s, np.array([1.0]))
         assert np.allclose(out.x_hat, np.array([0.5, 0.0, 0.0]), atol=1e-12)
         expected_P = np.array(
             [
@@ -209,62 +210,62 @@ class TestPredictStep:
         A, H, _, _ = dense_matrices(m)
         s = FilterState(x_hat=x, P=np.eye(6) * 2.0)
         z = H @ x
-        out = gt.predict_step(m, s, z)
+        out = oracle.predict_step(m, s, z)
         assert np.array_equal(out.x_hat, A @ x)
         assert np.array_equal(out.last_innovation, np.zeros(2))
 
     def test_zero_state_zero_noise_stays_zero(self):
         m = gt.build_model(d=1, q=0.0, r=1.0, p0=1.0)
-        s = gt.init_filter(m, np.zeros(1))
+        s = oracle.init_filter(m, np.zeros(1))
         for _ in range(5):
-            s = gt.predict_step(m, s, np.zeros(1))
+            s = oracle.predict_step(m, s, np.zeros(1))
         assert np.array_equal(s.x_hat, np.zeros(3))
 
     def test_covariance_matches_covariance_step(self):
         m = gt.build_model(d=2, q=1e-3, r=1e-2)
         P = 4.0 * np.eye(6)
         s = FilterState(x_hat=np.zeros(6), P=P)
-        out = gt.predict_step(m, s, np.ones(2))
-        assert np.array_equal(out.P, gt.covariance_step(m, P))
+        out = oracle.predict_step(m, s, np.ones(2))
+        assert np.array_equal(out.P, oracle.covariance_step(m, P))
 
     def test_symmetry_enforced(self):
         m = gt.build_model(d=1, q=1e-3, r=1e-2, p0=5.0)
-        s = gt.init_filter(m, np.array([0.3]))
+        s = oracle.init_filter(m, np.array([0.3]))
         for z in (0.4, 0.1, 0.9):
-            s = gt.predict_step(m, s, np.array([z]))
+            s = oracle.predict_step(m, s, np.array([z]))
             assert np.array_equal(s.P, s.P.T)
 
     def test_bad_observation_rejected(self):
         m = gt.build_model(d=2)
-        s = gt.init_filter(m, np.zeros(2))
+        s = oracle.init_filter(m, np.zeros(2))
         with pytest.raises(ValueError):
-            gt.predict_step(m, s, np.zeros(3))
+            oracle.predict_step(m, s, np.zeros(3))
         with pytest.raises(ValueError):
-            gt.predict_step(m, s, np.array([1.0, np.nan]))
+            oracle.predict_step(m, s, np.array([1.0, np.nan]))
 
     def test_indefinite_covariance_flagged(self):
         m = gt.build_model(d=1, q=0.0, r=1e-2)
         bad = FilterState(x_hat=np.zeros(3), P=np.diag([1.0, 1.0, -5.0]))
         with pytest.raises(gt.DivergenceError):
-            gt.predict_step(m, bad, np.array([0.0]))
+            oracle.predict_step(m, bad, np.array([0.0]))
 
 
 class TestSteadyState:
     def test_riccati_converges_and_satisfies_recursion(self):
         m = gt.build_model(d=1, T=1.0, alpha=1.0, q=0.01, r=1.0)
-        P = gt.steady_state_covariance(m, tol=1e-10, max_iter=500)
-        assert np.linalg.norm(gt.covariance_step(m, P) - P) < 1e-8
+        P = oracle.steady_state_covariance(m, tol=1e-10, max_iter=500)
+        assert np.linalg.norm(oracle.covariance_step(m, P) - P) < 1e-8
 
     def test_matches_independent_dare_solver(self):
         m = gt.build_model(d=1, T=1.0, alpha=1.0, q=0.01, r=1.0)
-        P = gt.steady_state_covariance(m, tol=1e-13, max_iter=5000)
+        P = oracle.steady_state_covariance(m, tol=1e-13, max_iter=5000)
         A, H, Q, R = dense_matrices(m)
         dare = scipy.linalg.solve_discrete_are(A.T, H.T, Q, R)
         assert np.allclose(P, dare, rtol=1e-7, atol=1e-9)
 
     def test_multi_axis_steady_state(self):
         m = gt.build_model(d=3, q=0.01, r=1.0)
-        P = gt.steady_state_covariance(m)
+        P = oracle.steady_state_covariance(m)
         A, H, Q, R = dense_matrices(m)
         dare = scipy.linalg.solve_discrete_are(A.T, H.T, Q, R)
         assert np.allclose(P, dare, rtol=1e-6, atol=1e-8)
@@ -272,7 +273,7 @@ class TestSteadyState:
     def test_unsettled_recursion_raises_divergence(self):
         m = gt.build_model(d=1, T=1.0, alpha=1.0, q=0.01, r=1.0)
         with pytest.raises(gt.DivergenceError, match="did not settle within 1 iterations"):
-            gt.steady_state_covariance(m, max_iter=1)
+            oracle.steady_state_covariance(m, max_iter=1)
 
 
 class TestTrackSeries:
@@ -285,7 +286,7 @@ class TestTrackSeries:
         rng = np.random.default_rng(0)
         series = self.make_series(rng, d=44, K=35)
         m = gt.build_model(d=44)
-        rec = gt.track_series(m, series)
+        rec = oracle.track_series(m, series)
         assert rec.predicted.shape == (34, 44)
         assert rec.innovations.shape == (34, 44)
         assert rec.steps.tolist() == list(range(1, 35))
@@ -296,37 +297,37 @@ class TestTrackSeries:
         rng = np.random.default_rng(1)
         series = self.make_series(rng, d=3, K=12)
         m = gt.build_model(d=3)
-        rec = gt.track_series(m, series)
+        rec = oracle.track_series(m, series)
         assert np.array_equal(rec.innovations, series.profiles[1:] - rec.predicted)
 
     def test_too_short_series_rejected(self):
         m = gt.build_model(d=2)
         series = gt.ProfileSeries("u", np.array([0.0]), np.ones((1, 2)))
         with pytest.raises(ValueError):
-            gt.track_series(m, series)
+            oracle.track_series(m, series)
 
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(2)
         series = self.make_series(rng, d=3, K=5)
         m = gt.build_model(d=4)
         with pytest.raises(ValueError):
-            gt.track_series(m, series)
+            oracle.track_series(m, series)
 
     def test_constant_signal_innovations_vanish(self):
         m = gt.build_model(d=1, q=0.0, r=1e-2)
         K = 60
         series = gt.ProfileSeries("u", np.arange(K, dtype=float), np.full((K, 1), 3.0))
-        rec = gt.track_series(m, series)
+        rec = oracle.track_series(m, series)
         assert np.max(np.abs(rec.innovations[49:])) < 1e-6
 
     def test_final_state_is_next_forecast(self):
         rng = np.random.default_rng(4)
         series = self.make_series(rng, d=2, K=8)
         m = gt.build_model(d=2)
-        rec = gt.track_series(m, series)
-        state = gt.init_filter(m, series.profiles[0])
+        rec = oracle.track_series(m, series)
+        state = oracle.init_filter(m, series.profiles[0])
         for z in series.profiles:
-            state = gt.predict_step(m, state, z)
+            state = oracle.predict_step(m, state, z)
         assert state.k == 8
         assert rec.final_x_hat.shape == (6,)
         assert np.array_equal(rec.final_x_hat, state.x_hat)
@@ -345,8 +346,8 @@ def assert_records_close(model, dense, fast, atol):
     n = dense.n_steps + 1
     P = model.p0 * np.eye(3 * model.d)
     for _ in range(n):
-        P = gt.covariance_step(model, P)
-    schedule_P = np.kron(tracking._gain_schedule(model, n)[0][n], np.eye(model.d))
+        P = oracle.covariance_step(model, P)
+    schedule_P = np.kron(gt.gain_schedule(model, n)[0][n], np.eye(model.d))
     np.testing.assert_allclose(P, schedule_P, atol=atol, rtol=0.0)
 
 
@@ -357,7 +358,7 @@ class TestDecoupledEquivalence:
         profiles = rng.random((20, 5)) * 3.0
         series = gt.ProfileSeries("u", instants, profiles)
         m = gt.build_model(d=5, q=1e-3, r=1e-2)
-        dense = gt.track_series(m, series)
+        dense = oracle.track_series(m, series)
         (fast,) = gt.track_users(m, [series])
         assert_records_close(m, dense, fast, atol=1e-9)
 
@@ -365,7 +366,7 @@ class TestDecoupledEquivalence:
         rng = np.random.default_rng(6)
         series = gt.ProfileSeries("u", np.arange(10, dtype=float), rng.random((10, 1)))
         m = gt.build_model(d=1, q=1e-4, r=1e-3)
-        assert_records_close(m, gt.track_series(m, series), gt.track_users(m, [series])[0], atol=1e-9)
+        assert_records_close(m, oracle.track_series(m, series), gt.track_users(m, [series])[0], atol=1e-9)
 
 
 class TestTrackUsers:
@@ -380,7 +381,7 @@ class TestTrackUsers:
         records = gt.track_users(model, series)
         assert [r.user_id for r in records] == [s.user_id for s in series]
         for record, one in zip(records, series):
-            assert_records_close(model, gt.track_series(model, one), record, atol=1e-9)
+            assert_records_close(model, oracle.track_series(model, one), record, atol=1e-9)
         # Every record reads one read-only schedule.
         assert np.shares_memory(records[1].p_traces, records[5].p_traces)
         assert not records[1].gain_norms.flags.writeable
@@ -394,13 +395,13 @@ class TestTrackUsers:
             "identity_alpha": lambda: gt.build_model(3, alpha=0.95, q=4e-2, r=3e-1, q_structure="identity"),
         }[name]()
         n, eye = 30, np.eye(model.d)
-        covariances, gains = tracking._gain_schedule(model, n)
+        covariances, gains = gt.gain_schedule(model, n)
         assert covariances.shape == (n + 1, 3, 3) and gains.shape == (n, 3)
         P = model.p0 * np.eye(3 * model.d)
         for k in range(n):
             np.testing.assert_allclose(np.kron(covariances[k], eye), P, atol=1e-9, rtol=0)
-            np.testing.assert_allclose(np.kron(gains[k][:, None], eye), gt.gain(model, P), atol=1e-9, rtol=0)
-            P = gt.covariance_step(model, P)
+            np.testing.assert_allclose(np.kron(gains[k][:, None], eye), oracle.gain(model, P), atol=1e-9, rtol=0)
+            P = oracle.covariance_step(model, P)
         np.testing.assert_allclose(np.kron(covariances[n], eye), P, atol=1e-9, rtol=0)
 
     def test_no_series(self):
@@ -431,13 +432,20 @@ class TestTrackUsers:
             with pytest.raises(gt.DivergenceError, match=f"not finite at step {step}$"):
                 gt.track_users(gt.build_model(d=2, alpha=alpha, p0=p0), [series])
 
+    def test_schedule_that_loses_psd_named_with_its_step(self):
+        # The dense oracle tracks this model; the schedule's simple-form update loses PSD.
+        # ROADMAP item 9's square-root form will track it, and this test needs another model.
+        model = gt.build_model(1, q=1e-3, r=1e-8, p0=1e8)
+        with pytest.raises(gt.DivergenceError, match="prediction covariance lost PSD at step 3$"):
+            gt.gain_schedule(model, 12)
+
     @pytest.mark.parametrize("engine, step", [("track_users", 3), ("track_series", 4)])
     def test_non_positive_innovation_variance_named_with_its_step(self, engine, step):
         # q=0 with an almost exact measurement: the position variance rounds to slightly below 0
         series = gt.ProfileSeries("u", np.arange(6, dtype=float), np.full((6, 2), 0.5))
         model = gt.build_model(2, alpha=0.5, q=0, r=1e-300, p0=1)
         run = {"track_users": lambda: gt.track_users(model, [series]),
-               "track_series": lambda: gt.track_series(model, series)}[engine]
+               "track_series": lambda: oracle.track_series(model, series)}[engine]
         with pytest.raises(gt.SingularInnovationError, match=rf"ill-conditioned at step {step}: eigenvalue -\S+ is not positive$"):
             run()
 
@@ -449,7 +457,7 @@ class TestTrackUsers:
         model = gt.build_model(3, **kwargs)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            record = gt.track_users(model, [series])[0] if engine == "track_users" else gt.track_series(model, series)
+            record = gt.track_users(model, [series])[0] if engine == "track_users" else oracle.track_series(model, series)
         assert np.all(np.isfinite(record.predicted)) and np.all(np.isfinite(record.final_x_hat))
 
     def test_psd_tolerance_scales_with_the_covariance(self):
@@ -457,7 +465,7 @@ class TestTrackUsers:
         assert tracking._psd_tolerance(np.array([2.0, -1e200, 3.0])) == tracking.PSD_TOL * 1e200
 
     def test_huge_but_finite_innovation_accepted(self):
-        # r near the float ceiling: COND_LIMIT * S would overflow, the ratio does not
+        # r near the float ceiling: S stays finite, and so does every gain
         series = gt.ProfileSeries("u", np.arange(4, dtype=float), np.ones((4, 2)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -498,7 +506,7 @@ class TestBlasThreadLimit:
 
     @pytest.mark.parametrize(
         "track",
-        [gt.track_series, lambda model, series: gt.track_users(model, [series])],
+        [oracle.track_series, lambda model, series: gt.track_users(model, [series])],
         ids=["track_series", "track_users"],
     )
     def test_counts_restored_after_error(self, two_blas_threads, track):
@@ -523,9 +531,9 @@ class TestCovarianceProperties:
         rng = np.random.default_rng(seed)
         z0 = rng.random(d)
         m = gt.build_model(d=d, q=10.0**logq, r=10.0**logr, p0=float(rng.uniform(0.5, 20.0)))
-        s = gt.init_filter(m, z0)
+        s = oracle.init_filter(m, z0)
         for _ in range(n):
-            s = gt.predict_step(m, s, rng.random(d) * 2.0)
+            s = oracle.predict_step(m, s, rng.random(d) * 2.0)
             assert np.array_equal(s.P, s.P.T)
             assert np.linalg.eigvalsh(s.P).min() >= -1e-9
 
@@ -544,8 +552,8 @@ class TestSmoothing:
         obs = data.observed()
         uid = sorted(obs)[0]
         m = gt.build_model(d=5, q=1e-7, r=1e-2)
-        rec = gt.track_series(m, obs[uid])
-        report = gt.evaluate_record(rec, obs[uid])
+        rec = oracle.track_series(m, obs[uid])
+        report = gt.evaluate(obs[uid], rec.predicted)
         assert report.smoothness_ratio <= 1.0
 
 
@@ -554,7 +562,7 @@ class TestTrackRecordIO:
         rng = np.random.default_rng(8)
         series = gt.ProfileSeries("u", np.arange(6, dtype=float), rng.random((6, 3)))
         m = gt.build_model(d=3)
-        rec = gt.track_series(m, series)
+        rec = oracle.track_series(m, series)
         space = gt.new_space(["a", "b", "c"])
         gt.write_tracks([rec], space, tmp_path / "tracks")
         (back,) = gt.read_tracks(tmp_path / "tracks", space)
@@ -572,13 +580,19 @@ class TestTrackRecordIO:
         states = {}
         for uid in ("u1", "u2"):
             series = gt.ProfileSeries(uid, np.arange(5, dtype=float), rng.random((5, 2)))
-            states[uid] = gt.track_series(m, series).final_x_hat
+            states[uid] = oracle.track_series(m, series).final_x_hat
         path = tmp_path / "final.csv"
         gt.write_final_states(states, space, path)
         back = gt.read_final_states(path, space)
         assert set(back) == {"u1", "u2"}
         for uid in states:
             assert np.array_equal(back[uid], states[uid])
+
+    def test_final_state_of_the_wrong_shape_refused(self, tmp_path):
+        path = tmp_path / "final.csv"
+        with pytest.raises(ValueError, match=re.escape("state for 'u' has shape (5,), space has d=2") + "$"):
+            gt.write_final_states({"u": np.zeros(5)}, gt.new_space(["a", "b"]), path)
+        assert not path.exists()
 
     def test_duplicate_user_rejected(self, tmp_path):
         space = gt.new_space(["a"])
